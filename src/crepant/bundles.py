@@ -1,16 +1,22 @@
 """Tautological line bundles on toric crepant resolutions, exactly.
 
-A line bundle on the resolution is piecewise-linear data: one Laurent
-exponent per triangle of the fan, the local generator of the bundle on
-that chart.  Pairing the generator against the triangle's vertices gives
-r-scaled integer ray coefficients; agreement of these at shared vertices
-is the gluing (PL-consistency) condition.  The tautological bundle T_rho
-of the G-Hilbert scheme has the G-graph monomial of weight rho as its
-chart generator; wall crossings move the coefficients by divisor twists
-and the generators are re-solved per chart.
+A torus-invariant line bundle on the resolution is a divisor: one
+coefficient per ray of the fan, stored r-scaled as integers.  These ray
+coefficients, one row per character and reduced modulo the principal
+(invariant-exponent) rows to a canonical form, are the whole state of a
+tautological bundle: they are its key and its token format, and wall
+crossings update them directly (divisor twists add r on the divisor's
+rays; flops keep them).  Everything else is derived: the chart generator
+on a triangle is the Laurent exponent pairing to minus the coefficients of
+its three vertices, solved on demand and checked for integrality and
+character; degrees and star-surface restrictions are per-fan linear maps
+of the coefficients (fans.FanGeometry).  The tautological bundle T_rho of
+the G-Hilbert scheme starts from its chart generators, the G-graph
+monomials of weight rho.
 
-Degrees, Euler characteristics on star surfaces and the R(G)-valued
-classes of restricted bundles are all integer computations on this data.
+Euler characteristics on star surfaces are integer Riemann-Roch on this
+data; the R(G)-valued classes of restricted bundles are assembled in
+chambers.ClassTable.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, PreconditionError, UserError
-from .fans import StarSurface, Triangulation, star_surface
+from .fans import FanGeometry, StarSurface, Triangulation
 from .groups import Character, GroupSpec, invariant_lattice_basis
-from .intlin import dot, hnf_rows, solve3_int, sub
+from .intlin import dot, hnf_rows, solve3_int
 
 Exponent = tuple[int, int, int]
 
@@ -72,65 +78,7 @@ def theta_from_nontrivial(g: GroupSpec, vals) -> ThetaVector:
 
 
 # ---------------------------------------------------------------------------
-# Piecewise-linear bundle data
-
-
-class PLData:
-    """Per-triangle Laurent exponents of a line bundle's chart generators."""
-
-    __slots__ = ("fan", "per_tri")
-
-    def __init__(self, fan: Triangulation, per_tri):
-        self.fan = fan
-        self.per_tri = tuple(tuple(m) for m in per_tri)
-
-    def degree(self, e) -> int:
-        """Degree of the bundle on the curve of an interior edge."""
-        t1, t2 = e.triangles
-        v2 = self.fan.opposite_vertices(e)[1]
-        d = sub(self.per_tri[t1], self.per_tri[t2])
-        num = dot(d, self.fan.vertices[v2])
-        r = self.fan.group.r
-        if num % r:
-            raise InternalError("non-integral degree; PL data inconsistent")
-        return num // r
-
-
-def divisor_pl(fan: Triangulation, vertices: frozenset[int]) -> PLData:
-    """PL data of O(D) for D the sum of the divisors of the given vertices."""
-    r = fan.group.r
-    per_tri = []
-    for t in fan.triangles:
-        rows = [list(fan.vertices[i]) for i in t]
-        rhs = [-r if i in vertices else 0 for i in t]
-        per_tri.append(solve3_int(rows, rhs))
-    return PLData(fan, per_tri)
-
-
-def star_restriction(pl: PLData, star: StarSurface) -> tuple[int, ...]:
-    """Ray coefficients of the bundle restricted to a star surface.
-
-    Normalises the PL data to vanish on a base chart at the center; the
-    coefficient on the i-th ray is then read off from any chart containing
-    both the center and that ray.
-    """
-    fan = pl.fan
-    r = fan.group.r
-    v = star.center
-    tris_at_v = fan.triangles_at_vertex(v)
-    base = tris_at_v[0]
-    m0 = pl.per_tri[base]
-    coeffs = []
-    for u in star.rays:
-        ti = next(
-            t for t in tris_at_v if u in fan.triangles[t]
-        )
-        d = sub(pl.per_tri[ti], m0)
-        num = -dot(d, fan.vertices[u])
-        if num % r:
-            raise InternalError("non-Cartier restriction data on a smooth fan")
-        coeffs.append(num // r)
-    return tuple(coeffs)
+# Euler characteristics on star surfaces
 
 
 def euler_char_surface(star: StarSurface, coeffs) -> int:
@@ -165,162 +113,102 @@ class TautBundle:
     """One line bundle per character, with trivial bundle at the trivial
     character; immutable and canonicalised.
 
-    gens[k][t] is the chart generator exponent of the k-th character's
-    bundle on triangle t; coeffs[k][w] is the r-scaled ray coefficient at
-    vertex w (equal to minus the pairing of any adjacent chart generator
-    against the vertex).
+    coeffs[k][w] is the r-scaled ray coefficient at vertex w of the k-th
+    character's bundle, reduced to its canonical representative; these
+    rows are the whole state.  Chart generators, degrees and restrictions
+    are read off them: chart(ti) solves the generators on one triangle,
+    and the fan's FanGeometry maps give degrees and star restrictions.
     """
 
-    def __init__(
-        self,
-        group: GroupSpec,
-        fan: Triangulation,
-        gens,
-        canonicalize=True,
-        _trusted=False,
-        _coeffs=None,
-    ):
+    def __init__(self, group: GroupSpec, fan: Triangulation, coeffs):
+        nv = len(fan.vertices)
+        if len(coeffs) != group.r or any(len(row) != nv for row in coeffs):
+            raise PreconditionError(
+                f"coefficient data must be {group.r} rows of {nv} entries"
+            )
         self.group = group
         self.fan = fan
-        gens = [list(map(tuple, row)) for row in gens]
-        if _coeffs is not None and not _trusted:
-            raise InternalError("precomputed coefficients require a trusted source")
-        if _coeffs is None:
-            coeff_rows = [self._coeff_row(row) for row in gens]
-        else:
-            coeff_rows = list(_coeffs)
-        if canonicalize:
-            reducer = _principal_reducer(group, fan.vertices)
-            for k in range(group.r):
-                shift, coeff_rows[k] = reducer(coeff_rows[k])
-                if shift != (0, 0, 0):
-                    gens[k] = [
-                        tuple(m[j] + shift[j] for j in range(3)) for m in gens[k]
-                    ]
-        self.gens = tuple(tuple(row) for row in gens)
-        self.coeffs = tuple(tuple(row) for row in coeff_rows)
-        if not _trusted:
-            self._validate()
-        else:
-            triv = group.char_index[group.trivial]
-            if any(c != 0 for c in self.coeffs[triv]):
-                raise InternalError(
-                    "tautological bundle of the trivial character not trivial"
-                )
+        reducer = _principal_reducer(group, fan.vertices)
+        self.coeffs = tuple(reducer(row) for row in coeffs)
+        if any(self.coeffs[group.char_index[group.trivial]]):
+            raise InternalError(
+                "tautological bundle of the trivial character not trivial"
+            )
 
-    def _coeff_row(self, row):
-        # Coefficients are r-scaled: the honest rational coefficient of the
-        # fractional divisor is this integer divided by r.
-        fan = self.fan
-        out = [None] * len(fan.vertices)
-        for ti, t in enumerate(fan.triangles):
-            m = row[ti]
-            for w in t:
-                val = -dot(m, fan.vertices[w])
-                if out[w] is None:
-                    out[w] = val
-                elif out[w] != val:
-                    raise InternalError(
-                        f"PL-inconsistent chart generators at vertex {fan.vertices[w]}"
-                    )
-        return tuple(out)
-
-    def _validate(self):
-        g = self.group
-        for k, rho in enumerate(g.characters):
-            for m in self.gens[k]:
-                if g.weight(m) != rho:
+    @classmethod
+    def from_gens(cls, group: GroupSpec, fan: Triangulation, gens) -> "TautBundle":
+        """Bundle from chart generators, gens[k][t] the exponent of the k-th
+        character's bundle on triangle t.  Generators must have their
+        character and agree (pair equally) at shared vertices."""
+        rows = []
+        for rho, gen_row in zip(group.characters, gens, strict=True):
+            row = [None] * len(fan.vertices)
+            for t, m in zip(fan.triangles, gen_row, strict=True):
+                if group.weight(m) != rho:
                     raise InternalError("chart generator has wrong character")
-        triv = g.char_index[g.trivial]
-        if any(c != 0 for c in self.coeffs[triv]):
-            raise InternalError("tautological bundle of the trivial character not trivial")
+                for w in t:
+                    val = -dot(m, fan.vertices[w])
+                    if row[w] is None:
+                        row[w] = val
+                    elif row[w] != val:
+                        raise InternalError(
+                            f"PL-inconsistent chart generators at vertex {fan.vertices[w]}"
+                        )
+            rows.append(row)
+        return cls(group, fan, rows)
+
+    @classmethod
+    def from_coeffs(cls, group: GroupSpec, fan: Triangulation, coeffs) -> "TautBundle":
+        """Bundle from ray coefficients, with every chart solved and checked
+        before it is returned."""
+        taut = cls(group, fan, coeffs)
+        for ti in range(len(fan.triangles)):
+            taut.chart(ti)
+        return taut
 
     # -- basic data ---------------------------------------------------------
 
-    def pl(self, rho: Character) -> PLData:
-        return PLData(self.fan, self.gens[self.group.char_index[rho]])
+    def chart(self, ti: int) -> tuple[Exponent, ...]:
+        """Chart generators on triangle ti, one per character.
 
-    def pl_diff(self, sigma: Character, rho: Character) -> PLData:
-        """PL data of T_sigma tensor T_rho^{-1}."""
-        ks, kr = self.group.char_index[sigma], self.group.char_index[rho]
-        return PLData(
-            self.fan,
-            [sub(a, b) for a, b in zip(self.gens[ks], self.gens[kr])],
-        )
+        Solving the 3x3 pairing system on the basic triangle yields the
+        unique exponent; it must be integral and of its bundle's character.
+        """
+        t = self.fan.triangles[ti]
+        rows = [self.fan.vertices[i] for i in t]
+        out = []
+        for rho, row in zip(self.group.characters, self.coeffs):
+            try:
+                m = solve3_int(rows, [-row[i] for i in t])
+            except ValueError:
+                raise InternalError(f"non-integral chart generator on triangle {t}") from None
+            if self.group.weight(m) != rho:
+                raise InternalError("chart generator has wrong character")
+            out.append(m)
+        return tuple(out)
+
+    @property
+    def gens(self):
+        """Chart generators of every bundle on every triangle, gens[k][t]."""
+        charts = [self.chart(ti) for ti in range(len(self.fan.triangles))]
+        return tuple(zip(*charts))
 
     def degree(self, rho: Character, e) -> int:
         """Degree of T_rho on the curve of an interior edge."""
-        return self.pl(rho).degree(e)
+        row = self.coeffs[self.group.char_index[rho]]
+        return FanGeometry.of(self.fan).edge_degree(e, row)
 
     @property
     def key(self):
         return self.coeffs
 
-    # -- R(G)-valued classes -------------------------------------------------
-
     def curve_class(self, e):
         """Class of the structure sheaf of an interior edge's curve."""
         return tuple(self.degree(rho, e) + 1 for rho in self.group.characters)
 
-    def _star_cache(self):
-        if not hasattr(self, "_stars"):
-            self._stars = {
-                v: star_surface(self.fan, v) for v in self.fan.interior_vertices()
-            }
-        return self._stars
-
-    def _chi_on_component(self, pl: PLData, v: int) -> int:
-        star = self._star_cache()[v]
-        return euler_char_surface(star, star_restriction(pl, star))
-
-    def _chi_on_divisor(self, pl: PLData, vertices: frozenset[int]) -> int:
-        """chi of a bundle on a reduced normal-crossing union of star
-        surfaces, by inclusion-exclusion over components, double curves and
-        triple points."""
-        fan = self.fan
-        total = sum(self._chi_on_component(pl, v) for v in vertices)
-        for e in fan.interior_edges:
-            a, b = e.endpoints
-            if a in vertices and b in vertices:
-                total -= pl.degree(e) + 1
-        for t in fan.triangles:
-            if all(i in vertices for i in t):
-                total += 1
-        return total
-
-    def restriction_class(self, rho: Character, vertices):
-        """Class of T_rho^{-1} restricted to the reduced divisor of the
-        given interior vertices: sum over sigma of chi(T_sigma tensor
-        T_rho^{-1} restricted), as a vector over characters."""
-        vertices = frozenset(vertices)
-        if not vertices:
-            raise UserError("empty divisor")
-        return tuple(
-            self._chi_on_divisor(self.pl_diff(sigma, rho), vertices)
-            for sigma in self.group.characters
-        )
-
-    def canonical_class(self, rho: Character, vertices):
-        """Class of T_rho^{-1} tensor omega_D on the reduced divisor D of
-        the given vertices, with omega_D = O(D)|_D by adjunction on the
-        crepant resolution."""
-        vertices = frozenset(vertices)
-        if not vertices:
-            raise UserError("empty divisor")
-        dv = divisor_pl(self.fan, vertices)
-        kr = self.group.char_index[rho]
-        out = []
-        for ks in range(self.group.r):
-            per_tri = [
-                tuple(a[j] - b[j] + d[j] for j in range(3))
-                for a, b, d in zip(self.gens[ks], self.gens[kr], dv.per_tri)
-            ]
-            out.append(self._chi_on_divisor(PLData(self.fan, per_tri), vertices))
-        return tuple(out)
-
     # -- wall-crossing updates ----------------------------------------------
 
-    def twist_by_divisor(self, vertices, r2_chars, rho0_side=None) -> "TautBundle":
+    def twist_by_divisor(self, vertices, r2_chars) -> "TautBundle":
         """Type-0 update: R1/R2 partition the characters; the side away
         from the trivial character is twisted by the unstable divisor.
 
@@ -332,40 +220,25 @@ class TautBundle:
         if r2 - set(g.characters):
             raise PreconditionError("R2 contains unknown characters")
         r1 = frozenset(g.characters) - r2
-        rho0_in_r2 = g.trivial in r2
-        if rho0_side is not None and (rho0_side == "r2") != rho0_in_r2:
-            raise PreconditionError("side flag contradicts the partition")
-        if rho0_in_r2:
+        if g.trivial in r2:
             twisted, sign = r1, +1
         else:
             twisted, sign = r2, -1
         return self._twist(vertices, twisted, sign)
 
     def _twist(self, vertices, twisted_chars, sign) -> "TautBundle":
-        # Twisting by an invariant divisor preserves PL-consistency and
-        # chart-generator characters, so the result skips revalidation; the
-        # scaled ray coefficients shift by a constant on the divisor.
+        # O(D) for D the reduced divisor of the vertices has r-scaled
+        # coefficient r on them and 0 elsewhere.  Twisting by it keeps every
+        # chart integral and of its character, so charts are not re-solved.
         vertices = frozenset(vertices)
-        dv = divisor_pl(self.fan, vertices)
-        r = self.group.r
-        shift = [sign * r if w in vertices else 0 for w in range(len(self.fan.vertices))]
-        gens = []
-        coeffs = []
-        for k, rho in enumerate(self.group.characters):
-            if rho in twisted_chars:
-                gens.append(
-                    [
-                        tuple(m[j] + sign * d[j] for j in range(3))
-                        for m, d in zip(self.gens[k], dv.per_tri)
-                    ]
-                )
-                coeffs.append([a + s for a, s in zip(self.coeffs[k], shift)])
-            else:
-                gens.append(list(self.gens[k]))
-                coeffs.append(list(self.coeffs[k]))
-        return TautBundle(
-            self.group, self.fan, gens, _trusted=True, _coeffs=coeffs
-        )
+        step = sign * self.group.r
+        coeffs = [
+            [c + step if w in vertices else c for w, c in enumerate(row)]
+            if rho in twisted_chars
+            else row
+            for rho, row in zip(self.group.characters, self.coeffs)
+        ]
+        return TautBundle(self.group, self.fan, coeffs)
 
     def typeIII_twist(self, divisor_vertex: int, fiber_edges) -> "TautBundle":
         """Type-III update: twist by the swept divisor according to the
@@ -391,26 +264,8 @@ class TautBundle:
 
     def proper_transform(self, new_fan: Triangulation) -> "TautBundle":
         """Type-I update: ray coefficients are unchanged by a flop; chart
-        generators are re-solved on the new triangles."""
+        generators are re-solved and checked on the new triangles."""
         return TautBundle.from_coeffs(self.group, new_fan, self.coeffs)
-
-    @staticmethod
-    def from_coeffs(group: GroupSpec, fan: Triangulation, coeffs) -> "TautBundle":
-        """Rebuild chart generators from ray coefficients.
-
-        Solving the 3x3 pairing system on each basic triangle yields the
-        unique exponent; integrality and the character of the result are
-        validated by the constructor.
-        """
-        gens = []
-        for k in range(group.r):
-            row = []
-            for t in fan.triangles:
-                rows = [list(fan.vertices[i]) for i in t]
-                rhs = [-coeffs[k][i] for i in t]
-                row.append(solve3_int(rows, rhs))
-            gens.append(row)
-        return TautBundle(group, fan, gens)
 
 
 def ghilb_taut(g: GroupSpec, gh) -> TautBundle:
@@ -422,7 +277,7 @@ def ghilb_taut(g: GroupSpec, gh) -> TautBundle:
         gamma = gh.by_triangle[t]
         for k in range(g.r):
             gens[k][ti] = gamma.gens[k]
-    return TautBundle(g, fan, gens)
+    return TautBundle.from_gens(g, fan, gens)
 
 
 def line_bundle_of_theta(taut: TautBundle, theta: ThetaVector):
@@ -458,18 +313,16 @@ def _principal_reducer(group: GroupSpec, verts):
     """Returns a function reducing an r-scaled ray-coefficient row to its
     canonical representative.
 
-    Two generator rows give the same bundle exactly when they differ by a
-    G-invariant exponent, i.e. when their coefficient rows differ by the
-    pairing of that exponent against all vertices.  These pairings form the
-    principal sublattice; reduction is by its Hermite normal form with the
-    three corner vertices' columns first, so canonical representatives are
-    pinned at the corners in a deterministic way.  The function maps a
-    coefficient row to (shift, reduced row), where the shift is the
-    invariant exponent to add to every chart generator.
+    Two coefficient rows give the same bundle exactly when they differ by
+    the pairing of a G-invariant exponent against all vertices (the chart
+    generators differ by that exponent).  These pairings form the principal
+    sublattice; reduction is by its Hermite normal form with the three
+    corner vertices' columns first, so canonical representatives are pinned
+    at the corners in a deterministic way.
 
-    Only coefficient rows are read, never chart generators, so the reducer
-    depends on the group and the vertex list (a tuple of r-scaled lattice
-    points) alone and is shared by every fan on those vertices.
+    The reducer depends on the group and the vertex list (a tuple of
+    r-scaled lattice points) alone and is shared by every fan on those
+    vertices.
     """
     cache_key = (group, verts)
     if cache_key in _REDUCER_CACHE:
@@ -478,34 +331,26 @@ def _principal_reducer(group: GroupSpec, verts):
     corners = [verts.index((r, 0, 0)), verts.index((0, r, 0)), verts.index((0, 0, r))]
     rest = [i for i in range(len(verts)) if i not in corners]
     order = corners + rest
-    basis = invariant_lattice_basis(group)
-    rows = []
-    for b in basis:
-        paired = [dot(b, verts[i]) for i in order]  # r-scaled pairings
-        rows.append(paired + list(b))
-    nv = len(verts)
+    rows = [
+        [dot(b, verts[i]) for i in order]  # r-scaled pairings
+        for b in invariant_lattice_basis(group)
+    ]
     steps = []
     for row in hnf_rows(rows):
-        pcol = next(j for j, x in enumerate(row[:nv]) if x != 0)
-        steps.append((pcol, row[pcol], row[:nv], row[nv:]))
+        pcol = next(j for j, x in enumerate(row) if x != 0)
+        steps.append((pcol, row[pcol], row))
 
     def reduce_row(coeff_row):
-        # Each HNF row pairs an invariant exponent b against the vertices;
-        # subtracting q times it from the coefficients is adding q*b to
-        # every chart generator.
         a = [coeff_row[i] for i in order]
-        shift = [0, 0, 0]
-        for pcol, pivot, paired, b in steps:
+        for pcol, pivot, paired in steps:
             q = a[pcol] // pivot
             if q:
-                for j in range(nv):
-                    a[j] -= q * paired[j]
-                for j in range(3):
-                    shift[j] += q * b[j]
-        out = [0] * nv
+                for j, x in enumerate(paired):
+                    a[j] -= q * x
+        out = [0] * len(order)
         for j, i in enumerate(order):
             out[i] = a[j]
-        return tuple(shift), tuple(out)
+        return tuple(out)
 
     _REDUCER_CACHE[cache_key] = reduce_row
     return reduce_row

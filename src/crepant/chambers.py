@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bundles import TautBundle, divisor_pl, ghilb_taut, star_restriction
+from .bundles import TautBundle, ghilb_taut
 from .errors import (
     AmbiguousSplittingError,
     CapError,
@@ -25,7 +25,7 @@ from .errors import (
     TypeIIWallError,
     UserError,
 )
-from .fans import Triangulation, edge_relation, flip, star_surface
+from .fans import FanGeometry, Triangulation, edge_relation, flip
 from .ggraphs import ghilb_fan
 from .groups import Character, GroupSpec
 from .intlin import primitive
@@ -89,43 +89,6 @@ def ghilb_state(g: GroupSpec) -> ChamberState:
 # Fast class assembly per state
 
 
-class FanGeometry:
-    """Tautological-bundle-independent data of a fan, cached per fan key:
-    star surfaces, divisor restrictions and incidence tables."""
-
-    _cache: dict = {}
-
-    @classmethod
-    def of(cls, fan: Triangulation):
-        key = (fan.group, fan.key)
-        hit = cls._cache.get(key)
-        if hit is None:
-            hit = cls(fan)
-            cls._cache[key] = hit
-        return hit
-
-    def __init__(self, fan: Triangulation):
-        self.fan = fan
-        self.interior = fan.interior_vertices()
-        self.stars = {v: star_surface(fan, v) for v in self.interior}
-        self.edges = fan.interior_edges
-        self.edge_idx = {e.endpoints: i for i, e in enumerate(self.edges)}
-        self.tri_sets = [frozenset(t) for t in fan.triangles]
-        div_pl = {v: divisor_pl(fan, frozenset([v])) for v in self.interior}
-        self.div_star_coeffs = {
-            v: {u: star_restriction(div_pl[u], self.stars[v]) for u in self.interior}
-            for v in self.interior
-        }
-        self.div_edge_deg = {
-            u: [div_pl[u].degree(e) for e in self.edges] for u in self.interior
-        }
-    def apply_op(self, v, c):
-        # Intersection operator of a star: (M c)_i = c_{i-1} + b_i c_i + c_{i+1}.
-        b = self.stars[v].selfint
-        n = len(b)
-        return [c[(i - 1) % n] + b[i] * c[i] + c[(i + 1) % n] for i in range(n)]
-
-
 class ClassTable:
     """Per-state tables for assembling R(G)-classes of restricted bundles.
 
@@ -133,51 +96,32 @@ class ClassTable:
     coefficients, so the divisor twists needed for the canonical classes
     reduce to precomputed linear corrections: with M the star's
     intersection operator, chi(c) = 1 + (c.Mc + 1.Mc)/2 and
-    chi(base + t) = chi(base) + base.Mt + (t.Mt + 1.Mt)/2.
+    chi(base + t) = chi(base) + base.Mt + (t.Mt + 1.Mt)/2.  Degrees and
+    star restrictions of the bundles are the fan's FanGeometry maps applied
+    to their ray-coefficient rows.
     """
 
     def __init__(self, state: ChamberState):
         g = state.group
-        fan = state.fan
         taut = state.taut
         self.state = state
-        geo = FanGeometry.of(fan)
+        geo = FanGeometry.of(state.fan)
         self.geo = geo
         self.interior = geo.interior
-        self.stars = geo.stars
         self.edges = geo.edges
         self.edge_idx = geo.edge_idx
         self.tri_sets = geo.tri_sets
         self.div_edge_deg = geo.div_edge_deg
         r = g.r
-        # Per-edge degree data: pairing the chart-generator difference with
-        # the opposite vertex of the second chart.
-        edge_geo = []
-        for e in self.edges:
-            t1, t2 = e.triangles
-            v2 = fan.opposite_vertices(e)[1]
-            edge_geo.append((t1, t2, fan.vertices[v2]))
-        self.edge_deg = []
-        for k in range(r):
-            gens = taut.gens[k]
-            row = []
-            for t1, t2, c2 in edge_geo:
-                a, b = gens[t1], gens[t2]
-                row.append(
-                    ((a[0] - b[0]) * c2[0] + (a[1] - b[1]) * c2[1] + (a[2] - b[2]) * c2[2])
-                    // r
-                )
-            self.edge_deg.append(row)
+        self.edge_deg = [geo.edge_degrees(row) for row in taut.coeffs]
         self.star_coeffs = {
-            v: [star_restriction(taut.pl(rho), geo.stars[v]) for rho in g.characters]
+            v: [geo.restrict_to_star(v, row) for row in taut.coeffs]
             for v in self.interior
         }
         # chi of T_sigma tensor T_rho^(-1) on each star.
         self._chi_base = {}
-        self._mc = {}  # v -> per character sigma: M . c_sigma
         for v in self.interior:
             mcs = [geo.apply_op(v, self.star_coeffs[v][k]) for k in range(r)]
-            self._mc[v] = mcs
             tablev = [[0] * r for _ in range(r)]
             for ks in range(r):
                 cs = self.star_coeffs[v][ks]
@@ -269,11 +213,23 @@ class ClassTable:
             out[("quot", kr)] = tuple(quot)
         return out
 
-    def restriction_class(self, kr: int, verts: frozenset):
-        return self.classes_for_subset(frozenset(verts))[("sub", kr)]
+    def restriction_class(self, kr: int, verts):
+        """Class of T_rho^{-1} restricted to the reduced divisor of the
+        given interior vertices, rho the kr-th character: the sum over
+        sigma of chi(T_sigma tensor T_rho^{-1} restricted)."""
+        return self._class_of("sub", kr, verts)
 
-    def canonical_class(self, kr: int, verts: frozenset):
-        return self.classes_for_subset(frozenset(verts))[("quot", kr)]
+    def canonical_class(self, kr: int, verts):
+        """Class of T_rho^{-1} tensor omega_D on the reduced divisor D of
+        the given vertices, with omega_D = O(D)|_D by adjunction on the
+        crepant resolution."""
+        return self._class_of("quot", kr, verts)
+
+    def _class_of(self, kind, kr, verts):
+        verts = frozenset(verts)
+        if not verts:
+            raise UserError("empty divisor")
+        return self.classes_for_subset(verts)[(kind, kr)]
 
 
 def _subsets(items):
@@ -326,20 +282,20 @@ def _two_term_sum(f, pool: set):
     return False
 
 
-def _foot_certificate(f, others):
+def _foot_certificate(f, probes, candidates):
     """Facet certificate without LP: the orthogonal foot of the origin ray
     through f on the hyperplane {f = 0} is q = <f,f> t0 - ... ; here we use
     q = (f.f) e - (f.e) f for a probe point e strictly inside the others,
     scaled to stay integral.  Returns True when a point on the hyperplane
     strictly satisfies every other candidate, which certifies a facet."""
     ff = sum(x * x for x in f)
-    for probe in others.get("probes", ()):
+    for probe in probes:
         fe = sum(a * b for a, b in zip(f, probe))
         q = tuple(ff * e - fe * x for e, x in zip(probe, f))
         if not any(q):
             continue
         ok = True
-        for g in others["candidates"]:
+        for g in candidates:
             if g is f:
                 continue
             s = sum(a * b for a, b in zip(g, q))
@@ -386,16 +342,14 @@ def _facet_normals(prims, counter: LPCounter, prune_non_walls: bool = True):
     # Probe points for foot certificates: an exact interior point of the
     # undecided system would do, but any strictly-positive point works as
     # a heuristic; verification is exact either way.
-    ctx = {"candidates": undecided}
     probes = []
     if undecided:
         d = len(undecided[0])
         total = [sum(g[i] for g in undecided) for i in range(d)]
         probes.append(tuple(total))
-    ctx["probes"] = probes
     need_lp = []
     for f in undecided:
-        if _foot_certificate(f, ctx):
+        if _foot_certificate(f, probes, undecided):
             kept.append(f)
         else:
             need_lp.append(f)
@@ -619,24 +573,6 @@ def _unstable_divisor(state, normal, ineqs, tight, r1, r2):
 # Crossing
 
 
-def classify_wall(chamber: Chamber, facet: Facet) -> str:
-    """Re-derive a facet's wall type from scratch (cross-check entry
-    point); facets returned by chamber_cone already carry this."""
-    prims = [primitive(iq.functional()) for iq in chamber.inequalities]
-    curve_prims = [
-        (chamber.state.fan.edge_map[iq.source[1]], prims[i])
-        for i, iq in enumerate(chamber.inequalities)
-        if iq.source[0] == "curve"
-    ]
-    tight = tuple(i for i, p in enumerate(prims) if p == facet.normal)
-    redone = _classify(
-        chamber.state, facet.normal, chamber.inequalities, tight, curve_prims
-    )
-    if redone.wall_type != facet.wall_type:
-        raise InternalError("wall type changed on reclassification")
-    return redone.wall_type
-
-
 def cross_wall(state: ChamberState, facet: Facet) -> ChamberState:
     """The adjacent state across a classified facet."""
     g = state.group
@@ -695,9 +631,6 @@ def _expand_state(state: ChamberState, counter: LPCounter):
     for facet in chamber.facets:
         crossings.append((facet, cross_wall(state, facet)))
     return chamber, crossings
-
-
-_WORKER_GROUP = None
 
 
 def _worker_expand(payload):

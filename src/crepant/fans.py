@@ -9,6 +9,11 @@ The toric dictionary used throughout: vertices of the triangulation are
 rays of the fan (divisors of the resolution), edges are two-dimensional
 cones (curves; compact exactly when the edge is interior to the simplex),
 triangles are three-dimensional cones (chart fixed points).
+
+FanGeometry caches, per fan, everything a line bundle's invariants need
+besides the bundle itself: star surfaces, incidence tables, and the two
+linear maps that read curve degrees and star restrictions off a bundle's
+r-scaled ray coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 
 from .errors import CapError, DegenerateEdgeError, InternalError, InvalidFlipError, UserError
 from .groups import GroupSpec, junior_points
-from .intlin import det3, integer_kernel, primitive, sub
+from .intlin import det3, integer_kernel, primitive, solve3_int, sub
 
 
 @dataclass(frozen=True)
@@ -318,3 +323,95 @@ def flip_reachable_fans(t0: Triangulation, cap: int = 100_000) -> dict:
                     nxt.append(t2)
         frontier = nxt
     return seen
+
+
+class FanGeometry:
+    """Bundle-independent data of a fan, cached per fan key: star surfaces,
+    incidence tables, and linear maps on r-scaled ray-coefficient rows.
+
+    A row c lists, per vertex, r times the coefficient of a line bundle's
+    torus-invariant divisor.  Its degree on the curve of an interior edge
+    is (c[v1] + c[v2] + a*c[w1] + b*c[w2]) / r, from the edge relation
+    v1 + v2 + a*w1 + b*w2 = 0.  Its restriction to the star surface of an
+    interior vertex v is normalised to vanish on a base chart t at v: a ray
+    u = sum alpha_i t_i (integer alpha, as t is basic) gets coefficient
+    (c[u] - sum alpha_i c[t_i]) / r.  Both maps raise when r does not
+    divide, which means the row is not the data of a line bundle.
+    """
+
+    _cache: dict = {}
+
+    @classmethod
+    def of(cls, fan: Triangulation) -> "FanGeometry":
+        key = (fan.group, fan.key)
+        hit = cls._cache.get(key)
+        if hit is None:
+            hit = cls(fan)
+            cls._cache[key] = hit
+        return hit
+
+    def __init__(self, fan: Triangulation):
+        r = fan.group.r
+        self.fan = fan
+        self.r = r
+        self.interior = fan.interior_vertices()
+        self.stars = {v: star_surface(fan, v) for v in self.interior}
+        self.edges = fan.interior_edges
+        self.edge_idx = {e.endpoints: i for i, e in enumerate(self.edges)}
+        self.tri_sets = [frozenset(t) for t in fan.triangles]
+        self._edge_terms = [
+            fan.opposite_vertices(e) + e.endpoints + edge_relation(fan, e)
+            for e in self.edges
+        ]
+        self._star_terms = {}
+        for v in self.interior:
+            t = fan.triangles[fan.triangles_at_vertex(v)[0]]
+            cols = [list(col) for col in zip(*(fan.vertices[i] for i in t))]
+            self._star_terms[v] = (
+                t,
+                [(u, solve3_int(cols, list(fan.vertices[u]))) for u in self.stars[v].rays],
+            )
+        # O(D_u) has r-scaled coefficient r at u and 0 elsewhere.
+        nv = len(fan.vertices)
+        unit = {u: [r if w == u else 0 for w in range(nv)] for u in self.interior}
+        self.div_edge_deg = {u: self.edge_degrees(unit[u]) for u in self.interior}
+        self.div_star_coeffs = {
+            v: {u: self.restrict_to_star(v, unit[u]) for u in self.interior}
+            for v in self.interior
+        }
+
+    def edge_degrees(self, row) -> list:
+        """Degrees of the bundle with coefficient row on every interior
+        edge's curve, in interior-edge order."""
+        return [self._degree(terms, row) for terms in self._edge_terms]
+
+    def edge_degree(self, e: Edge, row) -> int:
+        """Degree of the bundle with coefficient row on one interior edge."""
+        return self._degree(self._edge_terms[self.edge_idx[e.endpoints]], row)
+
+    def _degree(self, terms, row) -> int:
+        v1, v2, w1, w2, a, b = terms
+        d, rem = divmod(row[v1] + row[v2] + a * row[w1] + b * row[w2], self.r)
+        if rem:
+            raise InternalError("non-integral degree; coefficients are not a bundle")
+        return d
+
+    def restrict_to_star(self, v: int, row) -> tuple[int, ...]:
+        """Ray coefficients, in the star's cyclic ray order, of the bundle
+        with coefficient row restricted to the star surface of v."""
+        r = self.r
+        (t0, t1, t2), terms = self._star_terms[v]
+        c0, c1, c2 = row[t0], row[t1], row[t2]
+        out = []
+        for u, (a0, a1, a2) in terms:
+            x, rem = divmod(row[u] - a0 * c0 - a1 * c1 - a2 * c2, r)
+            if rem:
+                raise InternalError("non-integral restriction; coefficients are not a bundle")
+            out.append(x)
+        return tuple(out)
+
+    def apply_op(self, v, c):
+        # Intersection operator of a star: (M c)_i = c_{i-1} + b_i c_i + c_{i+1}.
+        b = self.stars[v].selfint
+        n = len(b)
+        return [c[(i - 1) % n] + b[i] * c[i] + c[(i + 1) % n] for i in range(n)]

@@ -63,13 +63,14 @@ def orbit_rep(state, triangle_idx: int, vanishing_vertex: int) -> SupportGraph:
     head = {}
     mult = {}
     vpos = tri.index(vanishing_vertex)
+    gens = taut.chart(triangle_idx)
     for k, rho in enumerate(g.characters):
         for i in range(3):
             target = g.char_add(rho, g.coord_weights[i])
             kt = g.char_index[target]
             head[(k, i)] = kt
             m = tuple(
-                _UNIT[i][j] + taut.gens[k][triangle_idx][j] - taut.gens[kt][triangle_idx][j]
+                _UNIT[i][j] + gens[k][j] - gens[kt][j]
                 for j in range(3)
             )
             exps = []

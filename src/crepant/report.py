@@ -115,10 +115,11 @@ def taut_report(taut) -> dict:
     line bundle."""
     g = taut.group
     fan = taut.fan
+    gens = taut.gens
     out = {}
     for k, rho in enumerate(g.characters):
         out[char_label(rho)] = {
-            "generators": [monomial_str(m) for m in taut.gens[k]],
+            "generators": [monomial_str(m) for m in gens[k]],
             "edge_degrees": [taut.degree(rho, e) for e in fan.interior_edges],
         }
     return out
@@ -216,7 +217,10 @@ def state_from_token(token: str) -> ChamberState:
         payload = json.loads(raw)
         g = parse_group(payload["group"])
         fan = Triangulation(g, [tuple(t) for t in payload["triangles"]])
-        taut = TautBundle.from_coeffs(g, fan, [tuple(r) for r in payload["coeffs"]])
+        rows = [tuple(r) for r in payload["coeffs"]]
+        if any(type(x) is not int for row in rows for x in row):
+            raise UserError("invalid state token: coefficients must be integers")
+        taut = TautBundle.from_coeffs(g, fan, rows)
     except UserError:
         raise
     except Exception as ex:  # malformed token data

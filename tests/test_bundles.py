@@ -4,19 +4,20 @@ import pytest
 
 from crepant.bundles import (
     TautBundle,
-    divisor_pl,
     euler_char_surface,
     ghilb_taut,
     line_bundle_of_theta,
     normalize_mod_regular,
-    star_restriction,
     theta_degree,
     theta_from_nontrivial,
 )
+from crepant.chambers import ChamberState, ClassTable, compute_chamber, cross_wall, ghilb_state
 from crepant.errors import PreconditionError, UserError
-from crepant.fans import flip, star_surface
+from crepant.fans import FanGeometry, flip, star_surface
 from crepant.ggraphs import ghilb_fan
-from crepant.groups import Character, parse_group
+from crepant.groups import Character, invariant_lattice_basis, parse_group
+from crepant.intlin import dot, solve3_int, sub
+from crepant.lp import LPCounter
 
 GROUPS = ["1/2(1,0,1)", "1/3(1,1,1)", "1/6(1,2,3)", "1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]
 
@@ -25,6 +26,63 @@ def setup(spec):
     g = parse_group(spec)
     gh = ghilb_fan(g)
     return g, gh, ghilb_taut(g, gh)
+
+
+def class_table(g, gh, taut):
+    return ClassTable(ChamberState(g, gh.fan, taut))
+
+
+# Reference implementation: the bundle as per-triangle chart generators,
+# with degrees, divisor generators and star restrictions read off the
+# charts directly.  The library reads the same quantities from ray
+# coefficients through per-fan linear maps.
+
+
+def ref_degree(fan, per_tri, e):
+    t1, t2 = e.triangles
+    v2 = fan.opposite_vertices(e)[1]
+    num = dot(sub(per_tri[t1], per_tri[t2]), fan.vertices[v2])
+    assert num % fan.group.r == 0
+    return num // fan.group.r
+
+
+def ref_divisor_gens(fan, verts):
+    r = fan.group.r
+    return [
+        solve3_int([fan.vertices[i] for i in t], [-r if i in verts else 0 for i in t])
+        for t in fan.triangles
+    ]
+
+
+def ref_star_restriction(fan, per_tri, star):
+    # Normalise to vanish on the first chart at the center, then read the
+    # coefficient of each ray off any chart containing it and the center.
+    r = fan.group.r
+    tris_at_v = fan.triangles_at_vertex(star.center)
+    m0 = per_tri[tris_at_v[0]]
+    out = []
+    for u in star.rays:
+        ti = next(t for t in tris_at_v if u in fan.triangles[t])
+        num = -dot(sub(per_tri[ti], m0), fan.vertices[u])
+        assert num % r == 0
+        out.append(num // r)
+    return tuple(out)
+
+
+def ref_chi_on_divisor(fan, stars, per_tri, verts):
+    """chi on a reduced normal-crossing union of star surfaces, by
+    inclusion-exclusion over components, double curves and triple points."""
+    total = 0
+    for v in verts:
+        total += euler_char_surface(stars[v], ref_star_restriction(fan, per_tri, stars[v]))
+    for e in fan.interior_edges:
+        a, b = e.endpoints
+        if a in verts and b in verts:
+            total -= ref_degree(fan, per_tri, e) + 1
+    for t in fan.triangles:
+        if all(i in verts for i in t):
+            total += 1
+    return total
 
 
 def test_trivial_character_bundle_trivial():
@@ -99,43 +157,86 @@ def test_euler_char_every_star_structure_sheaf_and_canonical():
 
 def test_restriction_class_marked_divisors():
     g, gh, taut = setup("1/3(1,1,1)")
+    table = class_table(g, gh, taut)
     c = gh.fan.vindex[(1, 1, 1)]
-    assert taut.restriction_class(Character((2,)), [c]) == (0, 0, 1)
-    assert taut.restriction_class(g.trivial, [c]) == (1, 3, 6)
+    assert table.restriction_class(g.char_index[Character((2,))], [c]) == (0, 0, 1)
+    assert table.restriction_class(g.char_index[g.trivial], [c]) == (1, 3, 6)
 
 
 def test_canonical_class_examples():
     g, gh, taut = setup("1/3(1,1,1)")
+    table = class_table(g, gh, taut)
     c = gh.fan.vindex[(1, 1, 1)]
-    assert taut.canonical_class(g.trivial, [c]) == (1, 0, 0)
+    k0 = g.char_index[g.trivial]
+    assert table.canonical_class(k0, [c]) == (1, 0, 0)
     with pytest.raises(UserError):
-        taut.canonical_class(g.trivial, [])
+        table.canonical_class(k0, [])
+    with pytest.raises(UserError):
+        table.restriction_class(k0, [])
 
 
 def test_restriction_vs_inclusion_exclusion_cross_check():
-    # chi over a reducible divisor computed via per-component Cartier data
-    # must match the curve/point corrected sum done by hand
-    g, gh, taut = setup("1/11(1,2,8)")
-    fan = gh.fan
-    verts = list(fan.interior_vertices())[:3]
-    for rho in [g.trivial, Character((4,))]:
-        combined = taut.restriction_class(rho, verts)
-        by_hand = [0] * g.r
-        for ks, sigma in enumerate(g.characters):
-            pl = taut.pl_diff(sigma, rho)
-            total = 0
-            for v in verts:
-                star = star_surface(fan, v)
-                total += euler_char_surface(star, star_restriction(pl, star))
-            for e in fan.interior_edges:
-                a, b = e.endpoints
-                if a in verts and b in verts:
-                    total -= pl.degree(e) + 1
-            for t in fan.triangles:
-                if all(i in verts for i in t):
-                    total += 1
-            by_hand[ks] = total
-        assert combined == tuple(by_hand)
+    # ClassTable's sub and quot classes against chi computed component by
+    # component from chart generators, on G-Hilb and one crossed state per
+    # wall type.
+    g = parse_group("1/11(1,2,8)")
+    s0 = ghilb_state(g)
+    facets = compute_chamber(s0, LPCounter()).facets
+    states = [s0] + [
+        cross_wall(s0, next(f for f in facets if f.wall_type == wt))
+        for wt in ("0", "I", "III")
+    ]
+    for state in states:
+        fan = state.fan
+        gens = state.taut.gens
+        table = ClassTable(state)
+        interior = fan.interior_vertices()
+        stars = {v: star_surface(fan, v) for v in interior}
+        subsets = [
+            frozenset(v for i, v in enumerate(interior) if mask >> i & 1)
+            for mask in range(1, 1 << len(interior))
+        ]
+        for verts in subsets:
+            dv = ref_divisor_gens(fan, verts)
+            for kr in range(g.r):
+                sub_ref, quot_ref = [], []
+                for ks in range(g.r):
+                    diff = [sub(a, b) for a, b in zip(gens[ks], gens[kr])]
+                    twisted = [tuple(x + y for x, y in zip(m, d)) for m, d in zip(diff, dv)]
+                    sub_ref.append(ref_chi_on_divisor(fan, stars, diff, verts))
+                    quot_ref.append(ref_chi_on_divisor(fan, stars, twisted, verts))
+                assert table.restriction_class(kr, verts) == tuple(sub_ref)
+                assert table.canonical_class(kr, verts) == tuple(quot_ref)
+
+
+def test_fan_geometry_maps_match_chart_reference():
+    # Degrees and star restrictions read off ray coefficients equal those
+    # read off chart generators, for the tautological bundles and for the
+    # divisors of the interior vertices, on every state one crossing from
+    # G-Hilb.
+    for spec in ["1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]:
+        g = parse_group(spec)
+        s0 = ghilb_state(g)
+        states = [s0] + [cross_wall(s0, f) for f in compute_chamber(s0, LPCounter()).facets]
+        for state in states:
+            fan = state.fan
+            geo = FanGeometry.of(fan)
+            stars = {v: star_surface(fan, v) for v in fan.interior_vertices()}
+            for row, per_tri in zip(state.taut.coeffs, state.taut.gens):
+                assert geo.edge_degrees(row) == [
+                    ref_degree(fan, per_tri, e) for e in fan.interior_edges
+                ]
+                for v, star in stars.items():
+                    assert geo.restrict_to_star(v, row) == ref_star_restriction(
+                        fan, per_tri, star
+                    )
+            for u in stars:
+                dv = ref_divisor_gens(fan, {u})
+                assert geo.div_edge_deg[u] == [
+                    ref_degree(fan, dv, e) for e in fan.interior_edges
+                ]
+                for v, star in stars.items():
+                    assert geo.div_star_coeffs[v][u] == ref_star_restriction(fan, dv, star)
 
 
 def test_twist_by_divisor_identity_and_inverse():
@@ -145,7 +246,7 @@ def test_twist_by_divisor_identity_and_inverse():
     assert taut.twist_by_divisor([c], []).key == taut.key
     assert taut.twist_by_divisor([c], list(g.characters)).key == taut.key
     with pytest.raises(PreconditionError):
-        taut.twist_by_divisor([c], [], rho0_side="r2")
+        taut.twist_by_divisor([c], [Character((5,))])
     r2 = [ch for ch in g.characters if ch != Character((2,))]
     t2 = taut.twist_by_divisor([c], r2)
     e = gh.fan.interior_edges[0]
@@ -185,7 +286,7 @@ def test_pl_consistency_preserved_by_operations():
     c = fan.interior_vertices()[0]
     mark = Character((10,))
     r2 = [ch for ch in g.characters if ch != mark]
-    # constructor revalidates PL-consistency; no exception means pass
+    # from_coeffs solves and checks every chart; no exception means pass
     t2 = taut.twist_by_divisor([c], r2)
     t3 = TautBundle.from_coeffs(g, fan, t2.coeffs)
     assert t3.key == t2.key
@@ -218,18 +319,30 @@ def test_divisor_pl_degree_adjunction():
     g, gh, taut = setup("1/3(1,1,1)")
     fan = gh.fan
     c = fan.vindex[(1, 1, 1)]
-    dv = divisor_pl(fan, frozenset([c]))
-    for e in fan.interior_edges:
-        assert dv.degree(e) == -3  # O(D)|_D = omega of P^2 on its lines
+    # O(D)|_D = omega of P^2 on its lines
+    assert FanGeometry.of(fan).div_edge_deg[c] == [-3] * len(fan.interior_edges)
 
 
 def test_curve_class_pairing_invariant_under_canonicalization():
+    # Coefficient rows that differ from the canonical ones by the pairing
+    # of an invariant exponent give the same degrees, hence the same curve
+    # classes and theta pairings.
     g, gh, taut = setup("1/6(1,2,3)")
-    raw = TautBundle(g, gh.fan, [list(r) for r in taut.gens], canonicalize=False)
+    fan = gh.fan
+    geo = FanGeometry.of(fan)
+    basis = invariant_lattice_basis(g)
+    raw = [
+        [c - dot(basis[k % len(basis)], w) * (k - 2) for c, w in zip(row, fan.vertices)]
+        for k, row in enumerate(taut.coeffs)
+    ]
+    assert raw != [list(row) for row in taut.coeffs]
+    assert TautBundle(g, fan, raw).key == taut.key
     theta = theta_from_nontrivial(g, [Fraction(k, 2) for k in (1, -3, 5, 7, -2)])
-    for e in gh.fan.interior_edges:
+    for i, e in enumerate(fan.interior_edges):
+        raw_class = [geo.edge_degrees(row)[i] + 1 for row in raw]
+        assert tuple(raw_class) == taut.curve_class(e)
         a = sum(t * c for t, c in zip(theta.values, taut.curve_class(e)))
-        b = sum(t * c for t, c in zip(theta.values, raw.curve_class(e)))
+        b = sum(t * c for t, c in zip(theta.values, raw_class))
         assert a == b
 
 
@@ -239,6 +352,6 @@ def test_quotient_class_is_rigid_quotient_indicator():
     g, gh, taut = setup("1/11(1,2,8)")
     fan = gh.fan
     v4 = fan.vindex[(3, 6, 2)]  # divisor marked rho4
-    cls = taut.canonical_class(g.trivial, [v4])
+    cls = class_table(g, gh, taut).canonical_class(g.char_index[g.trivial], [v4])
     assert set(cls) <= {0, 1}
     assert cls[0] == 1  # the trivial character lies in the quotient

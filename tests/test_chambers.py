@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from crepant import bundles
@@ -103,6 +106,23 @@ def test_prune_matches_full_on_neighbor_states():
         assert normals(a) == normals(b)
 
 
+# sha256 of every node's (triangles, canonical coefficient rows) in graph
+# order.  State tokens carry exactly this data and are replayed across runs,
+# so the canonical form must not move.
+STATE_DIGESTS = {
+    "1/2(1,0,1)": "c6468635246399c262b4aab1917868612ea2ca62cce23a08f73e3ec0b280def1",
+    "1/3(1,1,1)": "7312747f644f93176f019fe3a2cca4f0b037e0b03212245ab0e11ab89ffd9f56",
+    "1/6(1,2,3)": "2f173816d501043918db29be8dd1b2d37c1fde881ac9c03fc4c89a2bc4f3149a",
+    "1/6(3,4,5)": "7460f1a730ff8393450e4b560818092eeeebe5765fd37b980361e90028bf5b37",
+    "1/2(1,1,0)+1/2(0,1,1)": "8d0c2d7ebe4f5fdd2c30f61e03ac2180dafa7dd9cb6c58a5cba234d4e14ed06f",
+}
+
+
+def state_digest(graph):
+    data = [[st.fan.triangles, st.taut.coeffs] for st, _, _ in graph.nodes]
+    return hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "spec,chambers,fans",
     [
@@ -120,12 +140,15 @@ def test_enumerate_counts(spec, chambers, fans):
     assert len(graph.nodes) == chambers
     assert len(graph.fans()) == fans
     assert graph.fans() == set(flip_reachable_fans(ghilb_fan(g).fan))
+    assert state_digest(graph) == STATE_DIGESTS[spec]
 
 
 def test_enumerate_klein_four_verified():
     g = parse_group("1/2(1,1,0)+1/2(0,1,1)")
     graph = enumerate_chambers(g, verify_crossings=True)
     assert graph.fans() == set(flip_reachable_fans(ghilb_fan(g).fan))
+    assert len(graph.nodes) == 32
+    assert state_digest(graph) == STATE_DIGESTS["1/2(1,1,0)+1/2(0,1,1)"]
 
 
 def test_taut_key_canonical_on_flopped_fans():
@@ -153,7 +176,7 @@ def test_taut_key_canonical_on_flopped_fans():
             [tuple(m[j] + shift[j] for j in range(3)) for m in row]
             for row in taut.gens
         ]
-        assert TautBundle(g, fan, shifted).key == taut.key
+        assert TautBundle.from_gens(g, fan, shifted).key == taut.key
         for facet in compute_chamber(state, LPCounter()).facets:
             nstate = cross_wall(state, facet)
             neg = tuple(-x for x in facet.normal)

@@ -1,10 +1,15 @@
+import base64
 import json
 import subprocess
 import sys
+import zlib
+
+import pytest
 
 from crepant import bundles
 from crepant.chambers import compute_chamber, cross_wall, ghilb_state
-from crepant.groups import parse_group
+from crepant.errors import UserError
+from crepant.groups import Character, parse_group
 from crepant.lp import LPCounter
 from crepant.report import state_from_token, state_token
 
@@ -104,6 +109,55 @@ def test_state_token_roundtrip_on_ghilb_neighbours():
         bundles.TautBundle.from_coeffs(g, flopped.fan, flopped.taut.coeffs)
         for wall_type, s in states:
             assert state_from_token(state_token(s)).key == s.key, wall_type
+
+
+def _encode(payload):
+    raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return base64.urlsafe_b64encode(zlib.compress(raw, 9)).decode()
+
+
+def _malformed_tokens():
+    # Each token breaks one condition on the coefficient rows of a valid
+    # state of 1/6(1,2,3); the last is not a token at all.
+    g = parse_group("1/6(1,2,3)")
+    state = ghilb_state(g)
+    good = json.loads(zlib.decompress(base64.urlsafe_b64decode(state_token(state))))
+    k0 = g.char_index[g.trivial]
+    k1, k2 = g.char_index[Character((1,))], g.char_index[Character((2,))]
+    v = state.fan.interior_vertices()[0]
+
+    def edited(edit):
+        payload = json.loads(json.dumps(good))
+        edit(payload["coeffs"])
+        return _encode(payload)
+
+    def bump(rows, k, w, by):
+        rows[k][w] += by
+
+    def swap(rows):
+        rows[k1], rows[k2] = rows[k2], rows[k1]
+
+    return {
+        "missing row": edited(lambda rows: rows.pop()),
+        "short row": edited(lambda rows: rows[k1].pop()),
+        "non-integral chart": edited(lambda rows: bump(rows, k1, v, 1)),
+        "wrong character": edited(swap),
+        "nonzero trivial row": edited(lambda rows: bump(rows, k0, v, g.r)),
+        "float coefficients": edited(lambda rows: bump(rows, k1, v, 0.0)),
+        "garbage": "not-a-token",
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_tokens()))
+def test_state_from_token_rejects_malformed(case):
+    token = _malformed_tokens()[case]
+    with pytest.raises(UserError) as info:
+        state_from_token(token)
+    if case in ("missing row", "short row"):
+        assert "6 rows of" in str(info.value)
+    p = run_cli("cross", "1/6(1,2,3)", "--facet", "0", "--seed-state", token)
+    assert p.returncode == 1, (case, p.stderr)
+    assert "error" in p.stderr
 
 
 def test_cross_bad_facet_index():

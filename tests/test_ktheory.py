@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from crepant.bundles import divisor_pl, ghilb_taut, rclass_regular, theta_from_nontrivial
+from crepant.bundles import ghilb_taut, rclass_regular, theta_from_nontrivial
+from crepant.chambers import ChamberState, ClassTable
+from crepant.fans import FanGeometry
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
 from crepant.ktheory import (
@@ -131,12 +133,13 @@ def test_divisor_curve_pairing_cross_module():
         gh = ghilb_fan(g)
         taut = ghilb_taut(g, gh)
         fan = gh.fan
+        table = ClassTable(ChamberState(g, fan, taut))
+        geo = FanGeometry.of(fan)
         for v in fan.interior_vertices():
-            phi_od = taut.restriction_class(g.trivial, [v])
-            dv = divisor_pl(fan, frozenset([v]))
-            for e in fan.interior_edges:
+            phi_od = table.restriction_class(g.char_index[g.trivial], [v])
+            for i, e in enumerate(fan.interior_edges):
                 phi_ol = taut.curve_class(e)
-                assert compact_pairing(g, phi_od, phi_ol) == -dv.degree(e)
+                assert compact_pairing(g, phi_od, phi_ol) == -geo.div_edge_deg[v][i]
 
 
 def test_theta_pairing_of_flop_curve_classes():
