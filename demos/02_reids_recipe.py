@@ -6,6 +6,7 @@ the socles of the G-clusters around the vertex; line marks are the common
 character of the cutting ratio.
 
 Run:  python3 demos/02_reids_recipe.py
+(writes recipe_<r>.svg per group to the working directory)
 """
 
 from crepant.ggraphs import ghilb_fan
@@ -27,7 +28,7 @@ for spec in ["1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]:
     for ep, rho in sorted(m.line_marks.items()):
         a, b = (gh.fan.vertices[i] for i in ep)
         print(f"  {a} -- {b}: {rho}")
-    path = f"/tmp/recipe_{g.r}.svg"
+    path = f"recipe_{g.r}.svg"
     with open(path, "w") as fh:
         fh.write(triangulation_svg(gh.fan, g, m, title=f"Reid's recipe for {g}"))
     print(f"(svg written to {path})\n")

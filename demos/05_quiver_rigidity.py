@@ -8,6 +8,7 @@ extension space between quotient and subsheaf, and a simply connected
 domain certifies rigidity of its sheaf.
 
 Run:  python3 demos/05_quiver_rigidity.py
+(writes quiver_band.svg to the working directory)
 """
 
 from crepant.chambers import ghilb_state
@@ -34,7 +35,7 @@ for quot in [(0, 1), (0, 1, 3)]:
     if ext1 == 1:
         print(f"  quotient rigid: {is_rigid(graph, r1, 'quot')}")
         print(f"  subsheaf rigid: {is_rigid(graph, r1, 'sub')}")
-        path = "/tmp/quiver_band.svg"
+        path = "quiver_band.svg"
         with open(path, "w") as fh:
             fh.write(quiver_svg(graph, dec))
         print(f"  (band drawing written to {path})")

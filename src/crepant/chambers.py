@@ -15,6 +15,7 @@ adjacent state with the matching tautological update.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .bundles import TautBundle, ghilb_taut
 from .errors import (
@@ -307,71 +308,40 @@ def _foot_certificate(f, probes, candidates):
     return False
 
 
-def _facet_normals(prims, counter: LPCounter, prune_non_walls: bool = True):
-    """Irredundant primitive functionals among the given ones.
+def _facet_normals(prims, counter: LPCounter):
+    """Irredundant members of a set of nonzero primitive functionals: the
+    extreme rays of their cone, sorted.
 
-    Candidates that cannot span a wall (non-indicator classes) are implied
-    by the wall-compatible ones whenever the system cuts out a chamber, so
-    they are excluded up front unless prune_non_walls is False.  Cheap
-    exact certificates go first: a candidate equal to the sum of two
+    Cheap exact certificates go first: a candidate equal to the sum of two
     others is never extreme, and a point on a candidate's hyperplane
-    strictly inside all other candidates certifies a facet.  Exact LP
-    settles the remainder (conic membership in the kept set), and a final
-    prune leaves precisely the facet set.
+    strictly inside all other candidates certifies a facet.  One pass over
+    the rest, in support-size order, then settles each with one exact LP:
+    a candidate lying in the cone of the candidates still kept is dropped.
+    Dropping a generator that lies in the cone of the others leaves the
+    cone unchanged, and the cone of a subset only shrinks, so a candidate
+    kept at its turn stays irredundant and the pass ends on the facet set.
     """
-    cands = {f for f in prims if any(f)}
-    if prune_non_walls:
-        # inputs are primitive, so the 0/1-up-to-complement test is a
-        # plain value check
-        cands = {
-            f
-            for f in cands
-            if set(f) | {0} <= {0, 1} or set(f) | {0} <= {-1, 0}
-        }
     uniq = sorted(
-        cands,
+        set(prims),
         key=lambda f: (sum(1 for x in f if x), sum(abs(x) for x in f), f),
     )
     pool = set(uniq)
-    kept: list = []
-    undecided: list = []
-    for f in uniq:
-        if _two_term_sum(f, pool):
-            continue
-        undecided.append(f)
-    # Probe points for foot certificates: an exact interior point of the
+    undecided = [f for f in uniq if not _two_term_sum(f, pool)]
+    # Probe point for foot certificates: an exact interior point of the
     # undecided system would do, but any strictly-positive point works as
     # a heuristic; verification is exact either way.
     probes = []
     if undecided:
         d = len(undecided[0])
-        total = [sum(g[i] for g in undecided) for i in range(d)]
-        probes.append(tuple(total))
-    need_lp = []
+        probes.append(tuple(sum(g[i] for g in undecided) for i in range(d)))
+    kept = list(undecided)
     for f in undecided:
         if _foot_certificate(f, probes, undecided):
-            kept.append(f)
-        else:
-            need_lp.append(f)
-    foot_certified = set(kept)
-    for f in need_lp:
-        ok, _ = cone_membership(f, kept, counter)
-        if not ok:
-            kept.append(f)
-    i = 0
-    while i < len(kept):
-        f = kept.pop(i)
-        if f in foot_certified:
-            # certified a facet against the full candidate set already
-            kept.insert(i, f)
-            i += 1
             continue
-        if _two_term_sum(f, set(kept)):
-            continue
-        ok, _ = cone_membership(f, kept, counter)
-        if not ok:
-            kept.insert(i, f)
-            i += 1
+        others = [g for g in kept if g != f]
+        ok, _ = cone_membership(f, others, counter)
+        if ok:
+            kept = others
     return sorted(kept)
 
 
@@ -395,40 +365,55 @@ class Chamber:
 def chamber_cone(
     state: ChamberState, ineqs, counter: LPCounter, prune_non_walls: bool = True
 ) -> Chamber:
-    """Facets, tight inequality sets and a rational interior point."""
-    funcs = [iq.functional() for iq in ineqs]
-    for f, iq in zip(funcs, ineqs):
-        if not any(f):
+    """Facets, tight inequality sets and a rational interior point.
+
+    Only inequalities that can span a wall are facet candidates: with the
+    trivial character's coefficient eliminated, a wall's functional is a
+    0/1 or -1/0 vector, so its raw class takes exactly two values (one
+    value is the zero functional).  The others are implied by the
+    candidates whenever the system cuts out a chamber, so they are left
+    out of the facet scan unless prune_non_walls is False; the exactness
+    guard still checks every inequality at the interior point.
+    """
+    prims = {}  # candidate index -> primitive functional
+    for i, iq in enumerate(ineqs):
+        nvals = len(set(iq.raw))
+        if nvals == 1:
             raise InternalError(f"vanishing inequality functional from {iq.source}")
-    prims = [primitive(f) for f in funcs]
-    normals = _facet_normals(prims, counter, prune_non_walls)
+        if nvals == 2 or not prune_non_walls:
+            prims[i] = primitive(iq.functional())
+    tight = {}  # primitive functional -> candidate indices
+    for i, p in prims.items():
+        tight.setdefault(p, []).append(i)
+    normals = _facet_normals(list(tight), counter)
     pt = find_point(normals, [1] * len(normals), counter)
     if pt is None:
         raise EmptyChamberError(
             "inequality system has empty interior; inconsistent state"
         )
     # Exactness guard: every generated inequality, including any excluded
-    # from the facet scan, must hold strictly at the interior point.
-    from math import lcm
-
-    den = lcm(*(x.denominator for x in pt)) if pt else 1
+    # from the facet scan, must hold strictly at the interior point.  The
+    # functional of a class c is c[1:] - c[0], so at an integral point p it
+    # is c . w with w = (-sum(p), p).
+    den = lcm(*(x.denominator for x in pt))
     ipt = [int(x * den) for x in pt]
-    for f, iq in zip(funcs, ineqs):
-        if sum(a * b for a, b in zip(f, ipt)) <= 0:
+    w = [-sum(ipt)] + ipt
+    for iq in ineqs:
+        s = sum(a * b for a, b in zip(iq.raw, w))
+        if (s <= 0) if iq.sense == ">" else (s >= 0):
             raise InternalError(
                 f"inequality from {iq.source} violated at the interior point"
             )
-    facets = []
-    normal_set = set(normals)
     curve_prims = [
-        (state.fan.edge_map[iq.source[1]], prims[i])
-        for i, iq in enumerate(ineqs)
-        if iq.source[0] == "curve"
+        (state.fan.edge_map[ineqs[i].source[1]], p)
+        for i, p in prims.items()
+        if ineqs[i].source[0] == "curve"
     ]
-    for nrm in normals:
-        tight = tuple(i for i, p in enumerate(prims) if p == nrm)
-        facets.append(_classify(state, nrm, ineqs, tight, curve_prims))
-    redundant = [i for i, p in enumerate(prims) if p not in normal_set]
+    facets = [
+        _classify(state, nrm, ineqs, tuple(tight[nrm]), curve_prims) for nrm in normals
+    ]
+    normal_set = set(normals)
+    redundant = [i for i in range(len(ineqs)) if prims.get(i) not in normal_set]
     return Chamber(state, list(ineqs), facets, pt, redundant)
 
 

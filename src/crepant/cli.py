@@ -268,9 +268,12 @@ def cmd_verify(args):
         "command": "verify",
         "group": report.group_report(g),
         "checks": checks,
-        "ok": all(v is True or isinstance(v, int) for v in checks.values()),
+        "ok": all(v is not False for v in checks.values()),
     }
     _emit(rep, args)
+    if not rep["ok"]:
+        failed = ", ".join(k for k, v in checks.items() if v is False)
+        raise InternalError(f"self-check failed: {failed}")
 
 
 _COMMANDS = {

@@ -1,11 +1,15 @@
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
 from crepant import bundles
 from crepant.bundles import TautBundle
 from crepant.chambers import (
+    _facet_normals,
+    _foot_certificate,
     compute_chamber,
     cross_wall,
     enumerate_chambers,
@@ -18,7 +22,8 @@ from crepant.errors import UserError
 from crepant.fans import flip_reachable_fans
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, invariant_lattice_basis, parse_group
-from crepant.lp import LPCounter
+from crepant.intlin import primitive
+from crepant.lp import LPCounter, cone_membership
 
 
 def normals(chamber):
@@ -82,6 +87,73 @@ def test_indicator_compatible():
     assert not indicator_compatible((1, -1, 0))
 
 
+def reference_normals(prims):
+    """Brute force: a candidate is a facet iff it lies outside the cone of
+    all the other candidates."""
+    cands = set(prims)
+    return sorted(
+        f for f in cands if not cone_membership(f, [g for g in cands if g != f])[0]
+    )
+
+
+def wall_candidates(chamber):
+    return [
+        primitive(iq.functional())
+        for iq in chamber.inequalities
+        if len(set(iq.raw)) == 2
+    ]
+
+
+def test_facet_normals_match_reference_on_hand_built_cones():
+    e1, e2, e3, e4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    # e1 + e2 is a two-term sum; (0, 1, 1, 1) lies in the cone of e2, e3,
+    # e4 only; e1 is listed twice
+    simplicial = [e1, e2, e3, e4, (1, 1, 0, 0), (0, 1, 1, 1), e1]
+    # a square cone with its axis, which is in the cone of two opposite
+    # edges but the sum of no two members
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)]
+    for prims, facets in [(simplicial, [e1, e2, e3, e4]), (square, square[:4])]:
+        counter = LPCounter()
+        assert _facet_normals(prims, counter) == reference_normals(prims) == sorted(facets)
+        assert counter.count == 1
+    # e1 is certified a facet with no LP by the foot point on {x1 = 0}
+    undecided = [e1, e2, e3, e4, (0, 1, 1, 1)]
+    probe = tuple(map(sum, zip(*undecided)))
+    assert _foot_certificate(e1, [probe], undecided)
+    assert not _foot_certificate((0, 1, 1, 1), [probe], undecided)
+    # random sets of -1/0/1 vectors with last entry 1, which span a pointed
+    # cone in which a candidate of small support can lie in the cone of
+    # candidates of larger support, as the axis of the square does
+    rng = random.Random(5)
+    cube = [v + (1,) for v in itertools.product((-1, 0, 1), repeat=3)]
+    for _ in range(40):
+        prims = rng.sample(cube, rng.randint(3, 14))
+        assert _facet_normals(prims, LPCounter()) == reference_normals(prims)
+
+
+def test_facet_normals_match_reference_on_1_6_chambers():
+    g = parse_group("1/6(1,2,3)")
+    graph = enumerate_chambers(g)
+    for state, facets, _ in graph.nodes:
+        chamber = compute_chamber(state, LPCounter())
+        expected = reference_normals(wall_candidates(chamber))
+        assert sorted(f.normal for f in chamber.facets) == expected
+        assert [f.normal for f in facets] == [f.normal for f in chamber.facets]
+
+
+def test_raw_class_screen_is_indicator_compatibility():
+    g = parse_group("1/11(1,2,8)")
+    s0 = ghilb_state(g)
+    states = [s0] + [cross_wall(s0, f) for f in compute_chamber(s0, LPCounter()).facets]
+    nwalls = 0
+    for state in states:
+        for iq in generate_inequalities(state):
+            wall = len(set(iq.raw)) == 2
+            assert wall == indicator_compatible(iq.functional()), iq.source
+            nwalls += wall
+    assert nwalls
+
+
 def test_type0_crossing_1_3_structure():
     g = parse_group("1/3(1,1,1)")
     st = ghilb_state(g)
@@ -112,6 +184,7 @@ def test_prune_matches_full_on_neighbor_states():
 STATE_DIGESTS = {
     "1/2(1,0,1)": "c6468635246399c262b4aab1917868612ea2ca62cce23a08f73e3ec0b280def1",
     "1/3(1,1,1)": "7312747f644f93176f019fe3a2cca4f0b037e0b03212245ab0e11ab89ffd9f56",
+    "1/5(1,1,3)": "5ba558e212a869845c1761bb38e8710126566fa3882629d0c0fd1c870a84aa53",
     "1/6(1,2,3)": "2f173816d501043918db29be8dd1b2d37c1fde881ac9c03fc4c89a2bc4f3149a",
     "1/6(3,4,5)": "7460f1a730ff8393450e4b560818092eeeebe5765fd37b980361e90028bf5b37",
     "1/2(1,1,0)+1/2(0,1,1)": "8d0c2d7ebe4f5fdd2c30f61e03ac2180dafa7dd9cb6c58a5cba234d4e14ed06f",
@@ -123,11 +196,25 @@ def state_digest(graph):
     return hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest()
 
 
+# Exact LP solve counts of the enumerations: each facet candidate that no
+# cheap certificate settles costs one cone-membership LP, and each chamber
+# one interior-point LP, so a change to the redundancy scheme moves them.
+ENUM_LP_COUNTS = {
+    "1/2(1,0,1)": 2,
+    "1/3(1,1,1)": 3,
+    "1/5(1,1,3)": 47,
+    "1/6(1,2,3)": 1790,
+    "1/6(3,4,5)": 1790,
+    "1/2(1,1,0)+1/2(0,1,1)": 104,
+}
+
+
 @pytest.mark.parametrize(
     "spec,chambers,fans",
     [
         ("1/2(1,0,1)", 2, 1),
         ("1/3(1,1,1)", 3, 1),
+        ("1/5(1,1,3)", 15, 1),
         ("1/6(1,2,3)", 264, 5),
         # the same group as 1/6(1,2,3): the fifth power of its generator
         # has weights (15,20,25) = (3,2,1) mod 6
@@ -138,6 +225,7 @@ def test_enumerate_counts(spec, chambers, fans):
     g = parse_group(spec)
     graph = enumerate_chambers(g)
     assert len(graph.nodes) == chambers
+    assert graph.lp_count == ENUM_LP_COUNTS[spec]
     assert len(graph.fans()) == fans
     assert graph.fans() == set(flip_reachable_fans(ghilb_fan(g).fan))
     assert state_digest(graph) == STATE_DIGESTS[spec]
@@ -148,6 +236,7 @@ def test_enumerate_klein_four_verified():
     graph = enumerate_chambers(g, verify_crossings=True)
     assert graph.fans() == set(flip_reachable_fans(ghilb_fan(g).fan))
     assert len(graph.nodes) == 32
+    assert graph.lp_count == ENUM_LP_COUNTS["1/2(1,1,0)+1/2(0,1,1)"]
     assert state_digest(graph) == STATE_DIGESTS["1/2(1,1,0)+1/2(0,1,1)"]
 
 
@@ -244,7 +333,9 @@ def test_type0_unique_splitting_uniqueness():
 def test_curve_facets_match_flop_edges_1_11():
     g = parse_group("1/11(1,2,8)")
     st = ghilb_state(g)
-    ch = compute_chamber(st, LPCounter())
+    counter = LPCounter()
+    ch = compute_chamber(st, counter)
+    assert counter.count == 8
     type_i = [f for f in ch.facets if f.wall_type == "I"]
     assert len(type_i) == 3
     for f in type_i:

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import subprocess
 import sys
@@ -197,6 +198,28 @@ def test_verify_command():
     assert p.returncode == 0
     rep = json.loads(p.stdout)
     assert rep["ok"] is True
+
+
+def test_verify_fails_on_type_ii_wall(monkeypatch, capsys):
+    # isinstance(False, int) holds, so a failed boolean check must not be
+    # read as a count
+    from crepant import chambers, cli
+
+    real = chambers.ghilb_chamber
+
+    def with_type_ii(g, *args, **kwargs):
+        chamber = real(g, *args, **kwargs)
+        facet = dataclasses.replace(chamber.facets[0], wall_type="II")
+        return dataclasses.replace(chamber, facets=[facet])
+
+    monkeypatch.setattr(chambers, "ghilb_chamber", with_type_ii)
+    assert cli.main(["verify", "1/6(1,2,3)"]) == 3
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rep["checks"]["no_type_II"] is False
+    assert rep["checks"]["facet_count"] == 1
+    assert rep["ok"] is False
+    assert "no_type_II" in err
 
 
 def test_report_round_trip():

@@ -9,6 +9,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Files each demo writes to its working directory.
+WRITES = {
+    "02_reids_recipe.py": {"recipe_11.svg", "recipe_12.svg"},
+    "05_quiver_rigidity.py": {"quiver_band.svg"},
+}
 
 
 def test_demos_found():
@@ -29,3 +34,6 @@ def test_demo_runs(script, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in tmp_path.iterdir()} == WRITES.get(script.name, set())
+    for name in WRITES.get(script.name, ()):
+        assert (tmp_path / name).read_text().startswith("<svg")
