@@ -35,14 +35,6 @@ Exponent = tuple[int, int, int]
 # R(G)-valued classes and stability parameters
 
 
-def rclass_zero(g: GroupSpec):
-    return tuple(0 for _ in g.characters)
-
-
-def rclass_of_char(g: GroupSpec, rho: Character):
-    return tuple(1 if c == rho else 0 for c in g.characters)
-
-
 def rclass_regular(g: GroupSpec):
     return tuple(1 for _ in g.characters)
 

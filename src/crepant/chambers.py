@@ -3,19 +3,25 @@
 A chamber of the stability space is presented by a moduli state: a fan
 (triangulation) plus its tautological bundle.  The defining inequalities
 come in three families: one per exceptional curve (interior edge), and two
-per (character, nonempty set of interior vertices) pair, from restricting
+per (character, connected set of interior vertices) pair, from restricting
 the inverse tautological bundle to the reduced divisor and from twisting
-by its canonical sheaf.  Exact LP reduces them to the irredundant facet
-set; each facet is classified by the curves its wall contracts (none: type
-0, isolated rigid curves: type I, ruling fibers of a divisor: type III;
-type II cannot occur and raises), and crossing a facet produces the
-adjacent state with the matching tautological update.
+by its canonical sheaf.  A set of interior vertices that is not connected
+through interior edges gives a divisor whose parts share no double curve
+or triple point, so its classes are the sums of its parts' classes; its
+inequalities, sums of theirs, are implied and left out.  Exact LP reduces
+the family to the irredundant facet set; each facet is classified by the
+curves its wall contracts (none: type 0, isolated rigid curves: type I,
+ruling fibers of a divisor: type III; type II cannot occur and raises),
+and crossing a facet produces the adjacent state with the matching
+tautological update.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import lcm
+from operator import add, mul, sub
 
 from .bundles import TautBundle, ghilb_taut
 from .errors import (
@@ -93,126 +99,100 @@ def ghilb_state(g: GroupSpec) -> ChamberState:
 class ClassTable:
     """Per-state tables for assembling R(G)-classes of restricted bundles.
 
-    Euler characteristics on star surfaces expand quadratically in the ray
-    coefficients, so the divisor twists needed for the canonical classes
-    reduce to precomputed linear corrections: with M the star's
-    intersection operator, chi(c) = 1 + (c.Mc + 1.Mc)/2 and
-    chi(base + t) = chi(base) + base.Mt + (t.Mt + 1.Mt)/2.  Degrees and
-    star restrictions of the bundles are the fan's FanGeometry maps applied
-    to their ray-coefficient rows.
+    The inequality family takes two classes per character and per
+    connected set S of compact divisors (FanGeometry.subsets, built once
+    per fan); each S is assembled from an earlier set's sums plus one
+    vertex's terms.  With c_k the star restriction of T_k on a component
+    and M the star's intersection operator, Riemann-Roch gives the chi of
+    T_s tensor T_r^(-1) on the star as 1 + (A_s + B_r - 2 c_s.Mc_r)/2 with
+    A_s = c_s.Mc_s + 1.Mc_s and B_r = c_r.Mc_r - 1.Mc_r (Gram form);
+    inclusion-exclusion over the double curves and triple points inside S
+    gives the restriction class, and twisting by O(S) adds per component
+    the linear term c_k.Mt (t the restriction of O(S)) plus fan-only
+    constants.  A set that is not connected meets no double curve or
+    triple point between its parts, so its classes are the sums of its
+    components' classes and its inequalities are implied by theirs.
     """
 
     def __init__(self, state: ChamberState):
-        g = state.group
         taut = state.taut
         self.state = state
         geo = FanGeometry.of(state.fan)
         self.geo = geo
-        self.interior = geo.interior
         self.edges = geo.edges
-        self.edge_idx = geo.edge_idx
-        self.tri_sets = geo.tri_sets
-        self.div_edge_deg = geo.div_edge_deg
-        r = g.r
         self.edge_deg = [geo.edge_degrees(row) for row in taut.coeffs]
+        self._edge_cols = list(zip(*self.edge_deg))
         self.star_coeffs = {
             v: [geo.restrict_to_star(v, row) for row in taut.coeffs]
-            for v in self.interior
+            for v in geo.interior
         }
-        # chi of T_sigma tensor T_rho^(-1) on each star.
-        self._chi_base = {}
-        for v in self.interior:
-            mcs = [geo.apply_op(v, self.star_coeffs[v][k]) for k in range(r)]
-            tablev = [[0] * r for _ in range(r)]
-            for ks in range(r):
-                cs = self.star_coeffs[v][ks]
-                for kr in range(r):
-                    c = [a - b for a, b in zip(cs, self.star_coeffs[v][kr])]
-                    mc = [a - b for a, b in zip(mcs[ks], mcs[kr])]
-                    num = sum(x * y for x, y in zip(c, mc)) + sum(mc)
-                    if num % 2:
-                        raise InternalError("odd Riemann-Roch numerator on a star")
-                    tablev[ks][kr] = 1 + num // 2
-            self._chi_base[v] = tablev
-        # Divisor-twist corrections per (v, u): M . tvec and the quadratic
-        # constant; combined per subset on demand.
-        self._mt = {
-            v: {u: geo.apply_op(v, geo.div_star_coeffs[v][u]) for u in self.interior}
-            for v in self.interior
-        }
+        # chi[v][kr][ks] = chi of T_ks tensor T_kr^(-1) on the star of v.
+        self._chi = {}
+        # Twist products c_k.Mt: per vertex for O(D_v) on its own star, and
+        # per double curve (u, v) for O(D_u) on the star of v plus O(D_v)
+        # on the star of u.
+        self._self_twist = {}
+        self._edge_twist = [[0] * len(taut.coeffs) for _ in self.edges]
+        for v, cs in self.star_coeffs.items():
+            mc = [geo.apply_op(v, c) for c in cs]
+            a = [sum(map(mul, c, m)) + sum(m) for c, m in zip(cs, mc)]
+            b = [sum(map(mul, c, m)) - sum(m) for c, m in zip(cs, mc)]
+            table = []
+            for kr, mcr in enumerate(mc):
+                shift = b[kr]
+                nums = [x + shift - 2 * sum(map(mul, c, mcr)) for x, c in zip(a, cs)]
+                if any(x & 1 for x in nums):
+                    raise InternalError("odd Riemann-Roch numerator on a star")
+                table.append([1 + (x >> 1) for x in nums])
+            self._chi[v] = table
+            ops = geo.twist_ops[v]
+            self._self_twist[v] = [sum(map(mul, c, ops[v])) for c in cs]
+            for u in geo.neighbours[v]:
+                ei = geo.edge_idx[min(u, v), max(u, v)]
+                row = self._edge_twist[ei]
+                self._edge_twist[ei] = [x + sum(map(mul, c, ops[u])) for x, c in zip(row, cs)]
+        self._by_verts = None
 
     def curve_class(self, e_idx: int):
         return tuple(self.edge_deg[k][e_idx] + 1 for k in range(self.state.group.r))
 
-    def _subset_data(self, verts: frozenset):
-        """Per-vertex twist corrections and edge/triangle sums for a subset."""
-        geo = self.geo
-        data = {}
-        for v in verts:
-            t = None
-            mt = None
-            for u in verts:
-                tv = geo.div_star_coeffs[v][u]
-                mtv = self._mt[v][u]
-                if t is None:
-                    t = list(tv)
-                    mt = list(mtv)
-                else:
-                    t = [a + b for a, b in zip(t, tv)]
-                    mt = [a + b for a, b in zip(mt, mtv)]
-            q2 = sum(a * b for a, b in zip(t, mt)) + sum(mt)
-            if q2 % 2:
-                raise InternalError("odd quadratic correction in chi expansion")
-            # chi(base + t) = chi(base) + base . Mt + (t.Mt + 1.Mt)/2
-            data[v] = (mt, q2 // 2)
-        edges_inside = [
-            ei for (p, q), ei in self.edge_idx.items() if p in verts and q in verts
-        ]
-        edge_div = {
-            ei: sum(self.div_edge_deg[u][ei] for u in verts) for ei in edges_inside
-        }
-        ntri = sum(1 for ts in self.tri_sets if ts <= verts)
-        return data, edges_inside, edge_div, ntri
-
-    def classes_for_subset(self, verts: frozenset):
-        """All restriction and canonical classes of a divisor subset, as
-        {(kind, kr): class tuple} with kind in {'sub', 'quot'}."""
-        g = self.state.group
-        r = g.r
-        twist, edges_inside, edge_div, ntri = self._subset_data(verts)
-        # Component chi table summed over the subset.
-        chis = [[0] * r for _ in range(r)]
-        for v in verts:
-            tv = self._chi_base[v]
-            for ks in range(r):
-                row = tv[ks]
-                target = chis[ks]
-                for kr in range(r):
-                    target[kr] += row[kr]
-        # Edge sums: sum of degrees over interior double curves, per character.
-        esum = [sum(self.edge_deg[k][ei] for ei in edges_inside) for k in range(r)]
-        nedges = len(edges_inside)
-        ediv_total = sum(edge_div[ei] for ei in edges_inside)
-        # Twist linear term per character: sum over components of c_k . Mt.
-        p = [0] * r
-        q_total = 0
-        for v in verts:
-            mt, q2 = twist[v]
-            q_total += q2
-            sc = self.star_coeffs[v]
-            for k in range(r):
-                p[k] += sum(a * m for a, m in zip(sc[k], mt))
-        out = {}
-        for kr in range(r):
-            sub = []
-            quot = []
-            for ks in range(r):
-                chi0 = chis[ks][kr] - (esum[ks] - esum[kr] + nedges) + ntri
-                sub.append(chi0)
-                quot.append(chi0 + p[ks] - p[kr] + q_total - ediv_total)
-            out[("sub", kr)] = tuple(sub)
-            out[("quot", kr)] = tuple(quot)
-        return out
+    def subset_classes(self, krs=None):
+        """Per connected divisor set, in FanGeometry.subsets order:
+        (verts, sub classes, quot classes), the classes listed for the
+        character indices krs (all characters by default)."""
+        r = self.state.group.r
+        krs = range(r) if krs is None else krs
+        chi = self._chi
+        edge_cols = self._edge_cols
+        edge_twist = self._edge_twist
+        sums = []  # per subset: (chi rows for krs, edge-degree sums, twist sums)
+        for verts, parent, v, joins, c_sub, c_quot in self.geo.subsets:
+            chi_v = chi[v]
+            if parent is None:
+                rows = [chi_v[kr] for kr in krs]
+                esum = [0] * r
+                tsum = self._self_twist[v]
+            else:
+                rows0, esum, tsum = sums[parent]
+                rows = [list(map(add, row, chi_v[kr])) for row, kr in zip(rows0, krs)]
+                tsum = map(add, tsum, self._self_twist[v])
+                for ei in joins:
+                    esum = map(add, esum, edge_cols[ei])
+                    tsum = map(add, tsum, edge_twist[ei])
+                esum = list(esum)
+                tsum = list(tsum)
+            sums.append((rows, esum, tsum))
+            # sub[ks] = chi[ks] - esum[ks] + esum[kr] + c_sub, and
+            # quot[ks] = sub[ks] + tsum[ks] - tsum[kr] + c_quot.
+            subs = [
+                tuple(map(sub, row, map(sub, esum, repeat(esum[kr] + c_sub))))
+                for row, kr in zip(rows, krs)
+            ]
+            quots = [
+                tuple(map(add, cls, map(add, tsum, repeat(c_quot - tsum[kr]))))
+                for cls, kr in zip(subs, krs)
+            ]
+            yield verts, subs, quots
 
     def restriction_class(self, kr: int, verts):
         """Class of T_rho^{-1} restricted to the reduced divisor of the
@@ -230,29 +210,33 @@ class ClassTable:
         verts = frozenset(verts)
         if not verts:
             raise UserError("empty divisor")
-        return self.classes_for_subset(verts)[(kind, kr)]
-
-
-def _subsets(items):
-    items = list(items)
-    n = len(items)
-    for mask in range(1, 1 << n):
-        yield frozenset(items[i] for i in range(n) if (mask >> i) & 1)
+        if not verts <= self.star_coeffs.keys():
+            raise UserError("divisor vertices must be interior vertices")
+        if self._by_verts is None:
+            self._by_verts = {
+                vs: {"sub": subs, "quot": quots}
+                for vs, subs, quots in self.subset_classes()
+            }
+        parts = [self._by_verts[comp][kind][kr] for comp in self.geo.components(verts)]
+        return tuple(map(sum, zip(*parts)))
 
 
 def generate_inequalities(state: ChamberState, table: ClassTable | None = None):
-    """The defining inequality family of a state, before redundancy work."""
+    """The defining inequality family of a state, before redundancy work:
+    one per compact curve and two per character and connected divisor
+    set (a disconnected set's classes are sums of its components', so its
+    inequalities are implied)."""
     table = table or ClassTable(state)
-    g = state.group
-    out = []
-    for i, e in enumerate(table.edges):
-        out.append(Inequality(table.curve_class(i), ">", ("curve", e.endpoints)))
-    for verts in _subsets(table.interior):
-        vs = tuple(sorted(verts))
-        classes = table.classes_for_subset(verts)
-        for k, rho in enumerate(g.characters):
-            out.append(Inequality(classes[("sub", k)], ">", ("sub", rho, vs)))
-            out.append(Inequality(classes[("quot", k)], "<", ("quot", rho, vs)))
+    chars = state.group.characters
+    out = [
+        Inequality(table.curve_class(i), ">", ("curve", e.endpoints))
+        for i, e in enumerate(table.edges)
+    ]
+    append = out.append
+    for verts, subs, quots in table.subset_classes():
+        for rho, sub_cls, quot_cls in zip(chars, subs, quots):
+            append(Inequality(sub_cls, ">", ("sub", rho, verts)))
+            append(Inequality(quot_cls, "<", ("quot", rho, verts)))
     return out
 
 
@@ -277,7 +261,7 @@ def _two_term_sum(f, pool: set):
     for a in pool:
         if a is f:
             continue
-        b = tuple(x - y for x, y in zip(f, a))
+        b = tuple(map(sub, f, a))
         if any(b) and b != f and b in pool:
             return True
     return False
@@ -399,7 +383,7 @@ def chamber_cone(
     ipt = [int(x * den) for x in pt]
     w = [-sum(ipt)] + ipt
     for iq in ineqs:
-        s = sum(a * b for a, b in zip(iq.raw, w))
+        s = sum(map(mul, iq.raw, w))
         if (s <= 0) if iq.sense == ">" else (s >= 0):
             raise InternalError(
                 f"inequality from {iq.source} violated at the interior point"
@@ -761,11 +745,8 @@ def ghilb_chamber(
             cls = tuple(1 if c == rho else 0 for c in g.characters)
             special.append(Inequality(cls, ">", ("sub", rho, (v,))))
     k0 = g.char_index[g.trivial]
-    for verts in _subsets(table.interior):
-        vs = tuple(sorted(verts))
-        special.append(
-            Inequality(table.canonical_class(k0, verts), "<", ("quot", g.trivial, vs))
-        )
+    for verts, _, quots in table.subset_classes([k0]):
+        special.append(Inequality(quots[0], "<", ("quot", g.trivial, verts)))
     specialised = chamber_cone(state, special, counter)
     if {f.normal for f in generic.facets} != {f.normal for f in specialised.facets}:
         raise InternalError(

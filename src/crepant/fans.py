@@ -11,15 +11,18 @@ cones (curves; compact exactly when the edge is interior to the simplex),
 triangles are three-dimensional cones (chart fixed points).
 
 FanGeometry caches, per fan, everything a line bundle's invariants need
-besides the bundle itself: star surfaces, incidence tables, and the two
+besides the bundle itself: star surfaces, incidence tables, the two
 linear maps that read curve degrees and star restrictions off a bundle's
-r-scaled ray coefficients.
+r-scaled ray coefficients, and the table of connected compact-divisor
+subsets over which the chamber inequalities are assembled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CapError, DegenerateEdgeError, InternalError, InvalidFlipError, UserError
 from .groups import GroupSpec, junior_points
@@ -325,9 +328,29 @@ def flip_reachable_fans(t0: Triangulation, cap: int = 100_000) -> dict:
     return seen
 
 
+class DivisorSubset(NamedTuple):
+    """A connected set of compact divisors, grown by one vertex from an
+    earlier member of its fan's subset list.
+
+    verts minus vertex is the connected subset at position parent (None
+    when verts is vertex alone); joins holds the interior-edge indices of
+    the double curves joining vertex to the parent.  sub_const and
+    quot_const are the bundle-independent terms of the restriction and
+    canonical classes (see chambers.ClassTable).
+    """
+
+    verts: tuple
+    parent: int | None
+    vertex: int
+    joins: tuple
+    sub_const: int
+    quot_const: int
+
+
 class FanGeometry:
     """Bundle-independent data of a fan, cached per fan key: star surfaces,
-    incidence tables, and linear maps on r-scaled ray-coefficient rows.
+    incidence tables, linear maps on r-scaled ray-coefficient rows, and the
+    connected compact-divisor subsets.
 
     A row c lists, per vertex, r times the coefficient of a line bundle's
     torus-invariant divisor.  Its degree on the curve of an interior edge
@@ -358,7 +381,6 @@ class FanGeometry:
         self.stars = {v: star_surface(fan, v) for v in self.interior}
         self.edges = fan.interior_edges
         self.edge_idx = {e.endpoints: i for i, e in enumerate(self.edges)}
-        self.tri_sets = [frozenset(t) for t in fan.triangles]
         self._edge_terms = [
             fan.opposite_vertices(e) + e.endpoints + edge_relation(fan, e)
             for e in self.edges
@@ -379,6 +401,90 @@ class FanGeometry:
             v: {u: self.restrict_to_star(v, unit[u]) for u in self.interior}
             for v in self.interior
         }
+        # O(D_u) restricts to zero on the star of v unless u is v or one of
+        # its compact neighbours, so only those twist products are kept:
+        # M_v applied to the restriction of O(D_u).
+        interior = set(self.interior)
+        self.neighbours = {
+            v: tuple(u for u in self.stars[v].rays if u in interior)
+            for v in self.interior
+        }
+        self.twist_ops = {
+            v: {u: self.apply_op(v, self.div_star_coeffs[v][u]) for u in (v,) + nbrs}
+            for v, nbrs in self.neighbours.items()
+        }
+
+    @cached_property
+    def subsets(self) -> tuple:
+        """The sets of compact divisors that are connected through double
+        curves, as DivisorSubset records in the order of their bit masks
+        over the interior vertices.  A set grows from a connected one by a
+        vertex adjacent to it (any leaf of a spanning tree will do), so a
+        mask is connected exactly when removing one of its vertices leaves
+        an earlier connected mask joined to that vertex."""
+        interior = self.interior
+        bit = {v: 1 << i for i, v in enumerate(interior)}
+        adj = {v: sum(bit[u] for u in nbrs) for v, nbrs in self.neighbours.items()}
+        position = {}
+        out = []
+        for mask in range(1, 1 << len(interior)):
+            verts = tuple(v for v in interior if mask & bit[v])
+            parent = None
+            if len(verts) > 1:
+                for vertex in reversed(verts):
+                    rest = mask ^ bit[vertex]
+                    if adj[vertex] & rest and rest in position:
+                        parent = position[rest]
+                        break
+                else:
+                    continue
+            else:
+                vertex = verts[0]
+            joins = tuple(
+                self.edge_idx[min(u, vertex), max(u, vertex)]
+                for u in self.neighbours[vertex]
+                if mask & bit[u]
+            )
+            position[mask] = len(out)
+            out.append(DivisorSubset(verts, parent, vertex, joins, *self._constants(verts)))
+        return tuple(out)
+
+    def _constants(self, verts):
+        """Triangles minus double curves inside a divisor set, and the
+        quadratic twist term (t.Mt + 1.Mt)/2 summed over its components,
+        with t the restriction of O(D) to the component's star, minus the
+        degree of O(D) summed over those double curves."""
+        vset = frozenset(verts)
+        inside = [ei for (p, q), ei in self.edge_idx.items() if p in vset and q in vset]
+        ntri = sum(1 for t in self.fan.triangles if vset.issuperset(t))
+        ediv = sum(self.div_edge_deg[u][ei] for ei in inside for u in verts)
+        q_total = 0
+        for v in verts:
+            near = [u for u in (v,) + self.neighbours[v] if u in vset]
+            t = [sum(col) for col in zip(*(self.div_star_coeffs[v][u] for u in near))]
+            mt = self.apply_op(v, t)
+            q2 = sum(a * b for a, b in zip(t, mt)) + sum(mt)
+            if q2 % 2:
+                raise InternalError("odd quadratic correction in chi expansion")
+            q_total += q2 // 2
+        return ntri - len(inside), q_total - ediv
+
+    def components(self, verts) -> list:
+        """The connected components of a set of compact divisors, each as
+        a sorted vertex tuple."""
+        left = set(verts)
+        out = []
+        while left:
+            stack = [left.pop()]
+            comp = set(stack)
+            while stack:
+                for u in self.neighbours[stack.pop()]:
+                    if u in left:
+                        left.discard(u)
+                        comp.add(u)
+                        stack.append(u)
+            out.append(tuple(sorted(comp)))
+        return out
 
     def edge_degrees(self, row) -> list:
         """Degrees of the bundle with coefficient row on every interior

@@ -149,9 +149,6 @@ class GHilbFan:
         self.fan = fan
         self.by_triangle = by_triangle  # triangle index-triple -> GGraph
 
-    def ggraph(self, triangle) -> GGraph:
-        return self.by_triangle[tuple(sorted(triangle))]
-
 
 def ghilb_fan(g: GroupSpec) -> GHilbFan:
     """Assemble the fan of the G-Hilbert scheme from maximal G-graphs.

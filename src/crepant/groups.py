@@ -189,10 +189,6 @@ class LatticePointN:
     c: tuple[int, int, int]
     kind: str  # "corner" | "edge" | "interior"
 
-    @property
-    def age_scaled(self) -> int:
-        return sum(self.c)
-
 
 def group_elements_scaled(g: GroupSpec):
     """All group elements as r-scaled N-points (entries in [0, r))."""
@@ -234,13 +230,3 @@ def junior_points(g: GroupSpec) -> list[LatticePointN]:
     Each point is flagged corner / edge / interior relative to the simplex.
     """
     return list(_junior_cache(g))
-
-
-def pairing_scaled(m: Exponent, c: tuple[int, int, int], r: int):
-    """Pairing <m, v> for v = c/r, exact; integer iff m is G-invariant."""
-    num = dot(m, c)
-    if num % r:
-        from fractions import Fraction
-
-        return Fraction(num, r)
-    return num // r

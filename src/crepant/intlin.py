@@ -27,10 +27,6 @@ def sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def smul(k, u):
-    return tuple(k * a for a in u)
-
-
 def det3(a: Vec3, b: Vec3, c: Vec3) -> int:
     return (
         a[0] * (b[1] * c[2] - b[2] * c[1])

@@ -119,13 +119,3 @@ def theta_shift(g: GroupSpec, theta, sigma: Character):
     from .bundles import ThetaVector
 
     return ThetaVector(tuple(vals))
-
-
-def theta_dual(g: GroupSpec, theta):
-    """The parameter theta'(rho) = -theta(rho inverse)."""
-    vals = [Fraction(0)] * g.r
-    for i, rho in enumerate(g.characters):
-        vals[i] = -theta.values[g.char_index[g.char_neg(rho)]]
-    from .bundles import ThetaVector
-
-    return ThetaVector(tuple(vals))

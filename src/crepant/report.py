@@ -211,9 +211,24 @@ def state_token(state: ChamberState) -> str:
     return base64.urlsafe_b64encode(zlib.compress(raw, 9)).decode()
 
 
+# Upper bound on the decompressed payload of a state token.  A real state
+# is a few kilobytes, so a larger payload is malformed, and the bound keeps
+# a compressed bomb from exhausting memory.
+MAX_TOKEN_PAYLOAD = 1 << 23
+
+
 def state_from_token(token: str) -> ChamberState:
     try:
-        raw = zlib.decompress(base64.urlsafe_b64decode(token.encode()))
+        inflate = zlib.decompressobj()
+        raw = inflate.decompress(
+            base64.urlsafe_b64decode(token.encode()), MAX_TOKEN_PAYLOAD + 1
+        )
+        if len(raw) > MAX_TOKEN_PAYLOAD:
+            raise UserError(
+                f"invalid state token: payload exceeds {MAX_TOKEN_PAYLOAD} bytes"
+            )
+        if not inflate.eof:
+            raise UserError("invalid state token: truncated data")
         payload = json.loads(raw)
         g = parse_group(payload["group"])
         fan = Triangulation(g, [tuple(t) for t in payload["triangles"]])

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,7 @@ def test_restriction_vs_inclusion_exclusion_cross_check():
             frozenset(v for i, v in enumerate(interior) if mask >> i & 1)
             for mask in range(1, 1 << len(interior))
         ]
+        assert any(len(components(fan, verts)) > 1 for verts in subsets)
         for verts in subsets:
             dv = ref_divisor_gens(fan, verts)
             for kr in range(g.r):
@@ -207,6 +209,57 @@ def test_restriction_vs_inclusion_exclusion_cross_check():
                     quot_ref.append(ref_chi_on_divisor(fan, stars, twisted, verts))
                 assert table.restriction_class(kr, verts) == tuple(sub_ref)
                 assert table.canonical_class(kr, verts) == tuple(quot_ref)
+
+
+def components(fan, verts):
+    """Connected components of a set of interior vertices, joined by
+    interior edges."""
+    comps = [{v} for v in verts]
+    for e in fan.interior_edges:
+        a, b = e.endpoints
+        ca = next((c for c in comps if a in c), None)
+        cb = next((c for c in comps if b in c), None)
+        if ca is not None and cb is not None and ca is not cb:
+            comps.remove(cb)
+            ca |= cb
+    return comps
+
+
+def test_disjoint_divisor_union_is_sum_of_parts():
+    # For a disconnected divisor set, the inclusion-exclusion reference on
+    # the whole set (twisted by O(D) of the whole set) equals the sum of
+    # ClassTable's classes of its components.
+    g = parse_group("1/11(1,2,8)")
+    s0 = ghilb_state(g)
+    states = [s0] + [cross_wall(s0, f) for f in compute_chamber(s0, LPCounter()).facets]
+    assert len(states) == 17
+    states += [ghilb_state(parse_group(spec)) for spec in ("1/13(1,3,9)", "1/15(1,2,12)")]
+    checked = 0
+    for state in states:
+        g = state.group
+        fan = state.fan
+        gens = state.taut.gens
+        table = ClassTable(state)
+        interior = fan.interior_vertices()
+        stars = {v: star_surface(fan, v) for v in interior}
+        for k in range(2, len(interior) + 1):
+            for verts in itertools.combinations(interior, k):
+                comps = components(fan, verts)
+                if len(comps) == 1:
+                    continue
+                dv = ref_divisor_gens(fan, set(verts))
+                for kr in range(g.r):
+                    sub_sum = [sum(x) for x in zip(*(table.restriction_class(kr, c) for c in comps))]
+                    quot_sum = [sum(x) for x in zip(*(table.canonical_class(kr, c) for c in comps))]
+                    assert table.restriction_class(kr, verts) == tuple(sub_sum)
+                    assert table.canonical_class(kr, verts) == tuple(quot_sum)
+                    for ks in range(g.r):
+                        diff = [sub(a, b) for a, b in zip(gens[ks], gens[kr])]
+                        twisted = [tuple(x + y for x, y in zip(m, d)) for m, d in zip(diff, dv)]
+                        assert ref_chi_on_divisor(fan, stars, diff, verts) == sub_sum[ks]
+                        assert ref_chi_on_divisor(fan, stars, twisted, verts) == quot_sum[ks]
+                checked += 1
+    assert checked >= 17 * 5
 
 
 def test_fan_geometry_maps_match_chart_reference():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -19,7 +20,7 @@ from crepant.chambers import (
     indicator_compatible,
 )
 from crepant.errors import UserError
-from crepant.fans import flip_reachable_fans
+from crepant.fans import FanGeometry, flip_reachable_fans
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, invariant_lattice_basis, parse_group
 from crepant.intlin import primitive
@@ -70,13 +71,63 @@ def test_interior_point_strict():
         assert sum(a * b for a, b in zip(f, pt)) > 0
 
 
+def connected_subsets(fan):
+    """Nonempty sets of interior vertices connected through interior
+    edges, by brute force over all subsets."""
+    interior = fan.interior_vertices()
+    out = []
+    for k in range(1, len(interior) + 1):
+        for verts in itertools.combinations(interior, k):
+            reach = {verts[0]}
+            grew = True
+            while grew:
+                grew = False
+                for e in fan.interior_edges:
+                    a, b = e.endpoints
+                    if a in verts and b in verts and (a in reach) != (b in reach):
+                        reach |= {a, b}
+                        grew = True
+            if len(reach) == k:
+                out.append(verts)
+    return out
+
+
 def test_inequality_counts_bound():
     g = parse_group("1/11(1,2,8)")
     st = ghilb_state(g)
     ineqs = generate_inequalities(st)
-    k = len(st.fan.interior_vertices())
-    bound = len(st.fan.interior_edges) + 2 * g.r * (2**k - 1)
+    bound = len(st.fan.interior_edges) + 2 * g.r * len(connected_subsets(st.fan))
     assert len(ineqs) <= bound
+    divisor_sets = {iq.source[2] for iq in ineqs if iq.source[0] != "curve"}
+    assert divisor_sets == set(connected_subsets(st.fan))
+
+
+@pytest.mark.parametrize(
+    "spec,count", [("1/11(1,2,8)", 587), ("1/13(1,3,9)", 1240), ("1/15(1,2,12)", 1400)]
+)
+def test_ghilb_inequality_counts(spec, count):
+    # One inequality per compact curve and two per character and connected
+    # divisor set; with every nonempty divisor set the counts were 697,
+    # 1,656 and 1,910.
+    assert len(generate_inequalities(ghilb_state(parse_group(spec)))) == count
+
+
+def test_subset_table_built_once_per_fan(monkeypatch):
+    built = []
+    build = FanGeometry.__dict__["subsets"].func
+
+    def counting_build(geo):
+        built.append(geo.fan.key)
+        return build(geo)
+
+    prop = functools.cached_property(counting_build)
+    prop.__set_name__(FanGeometry, "subsets")
+    monkeypatch.setattr(FanGeometry, "subsets", prop)
+    monkeypatch.setattr(FanGeometry, "_cache", {})
+    graph = enumerate_chambers(parse_group("1/6(1,2,3)"))
+    assert len(graph.nodes) == 264
+    assert len(graph.fans()) == 5
+    assert sorted(built) == sorted(graph.fans())
 
 
 def test_indicator_compatible():

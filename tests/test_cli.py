@@ -7,7 +7,7 @@ import zlib
 
 import pytest
 
-from crepant import bundles
+from crepant import bundles, report
 from crepant.chambers import compute_chamber, cross_wall, ghilb_state
 from crepant.errors import UserError
 from crepant.groups import Character, parse_group
@@ -146,6 +146,10 @@ def _malformed_tokens():
         "nonzero trivial row": edited(lambda rows: bump(rows, k0, v, g.r)),
         "float coefficients": edited(lambda rows: bump(rows, k1, v, 0.0)),
         "garbage": "not-a-token",
+        "truncated": state_token(state)[:40],
+        "compressed zeros": base64.urlsafe_b64encode(
+            zlib.compress(bytes(report.MAX_TOKEN_PAYLOAD + 1), 9)
+        ).decode(),
     }
 
 
@@ -156,6 +160,8 @@ def test_state_from_token_rejects_malformed(case):
         state_from_token(token)
     if case in ("missing row", "short row"):
         assert "6 rows of" in str(info.value)
+    if case == "compressed zeros":
+        assert "payload exceeds" in str(info.value)
     p = run_cli("cross", "1/6(1,2,3)", "--facet", "0", "--seed-state", token)
     assert p.returncode == 1, (case, p.stderr)
     assert "error" in p.stderr
