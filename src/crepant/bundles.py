@@ -113,6 +113,14 @@ class TautBundle:
     """
 
     def __init__(self, group: GroupSpec, fan: Triangulation, coeffs):
+        """Bundle from ray coefficients, canonicalised; checks only the
+        shape and that the trivial character's row vanishes.
+
+        Every chart of a bundle is integral and of its character when the
+        bundle comes from from_gens or from_coeffs (which check every
+        chart), or from a divisor twist or a flop of such a bundle (which
+        keep the checked charts and check any new one).  Callers of this
+        raw constructor own that guarantee."""
         nv = len(fan.vertices)
         if len(coeffs) != group.r or any(len(row) != nv for row in coeffs):
             raise PreconditionError(
@@ -236,9 +244,10 @@ class TautBundle:
         """Type-III update: twist by the swept divisor according to the
         fiber degrees, which must all lie in {0,1} or all in {0,-1}."""
         g = self.group
+        geo = FanGeometry.of(self.fan)
         degs = {}
-        for rho in g.characters:
-            vals = {self.degree(rho, e) for e in fiber_edges}
+        for rho, row in zip(g.characters, self.coeffs):
+            vals = {geo.edge_degree(e, row) for e in fiber_edges}
             if len(vals) != 1:
                 raise InternalError("fiber degrees disagree on homologous fibers")
             degs[rho] = vals.pop()
@@ -255,9 +264,18 @@ class TautBundle:
         return self._twist([divisor_vertex], twisted, sign)
 
     def proper_transform(self, new_fan: Triangulation) -> "TautBundle":
-        """Type-I update: ray coefficients are unchanged by a flop; chart
-        generators are re-solved and checked on the new triangles."""
-        return TautBundle.from_coeffs(self.group, new_fan, self.coeffs)
+        """Type-I update: ray coefficients are unchanged by a flop, and
+        only the charts on triangles new in new_fan are solved and checked.
+
+        A chart depends only on its triangle and the coefficients at its
+        three vertices, so a triangle kept by the flop keeps the chart
+        already checked on this bundle (see __init__)."""
+        taut = TautBundle(self.group, new_fan, self.coeffs)
+        old = set(self.fan.triangles)
+        for ti, t in enumerate(new_fan.triangles):
+            if t not in old:
+                taut.chart(ti)
+        return taut
 
 
 def ghilb_taut(g: GroupSpec, gh) -> TautBundle:

@@ -496,20 +496,13 @@ def _tautbundles_agree_on(state: ChamberState, chars, verts) -> bool:
     """Do the bundles of the given characters restrict isomorphically to
     every component of the divisor of the given vertices?  Tested via
     degrees on all torus curves at each component (faithful on Pic)."""
-    taut = state.taut
-    fan = state.fan
-    chars = sorted(chars, key=lambda c: c.index)
-    base = chars[0]
-    edges = [
-        e
-        for e in fan.interior_edges
-        if any(v in e.endpoints for v in verts)
-    ]
-    for c in chars[1:]:
-        for e in edges:
-            if taut.degree(c, e) != taut.degree(base, e):
-                return False
-    return True
+    geo = FanGeometry.of(state.fan)
+    at = [e for e in geo.edges if any(v in e.endpoints for v in verts)]
+    index = state.group.char_index
+    restricted = {
+        tuple(geo.edge_degree(e, state.taut.coeffs[index[c]]) for e in at) for c in chars
+    }
+    return len(restricted) == 1
 
 
 def _unstable_divisor(state, normal, ineqs, tight, r1, r2):
@@ -588,6 +581,7 @@ class ChamberGraph:
     edges: list  # sorted (from_id, to_id, facet normal, wall type)
     node_ids: dict  # state key -> id
     lp_count: int
+    pivot_count: int  # simplex pivots over all LP solves
 
     def fans(self):
         return {st.fan.key for st, _, _ in self.nodes}
@@ -612,6 +606,7 @@ def _worker_expand(payload):
         chamber.interior_point,
         [(f.normal, f.wall_type, ns) for f, ns in crossings],
         wcounter.count,
+        wcounter.pivots,
     )
 
 
@@ -668,8 +663,9 @@ def enumerate_chambers(
                 outstanding -= 1
                 if isinstance(res, BaseException):
                     raise res
-                key, facets, pt, crossings, nlp = res
+                key, facets, pt, crossings, nlp, npiv = res
                 counter.count += nlp
+                counter.pivots += npiv
                 if counter.cap and counter.count > counter.cap:
                     raise CapError(f"LP solve cap of {counter.cap} exceeded")
                 pending.extend(merge(key, facets, pt, crossings))
@@ -696,7 +692,7 @@ def enumerate_chambers(
         (node_ids[a], node_ids[b], normal, wtype)
         for a, b, normal, wtype in raw_edges
     )
-    graph = ChamberGraph(g, nodes, edges, node_ids, counter.count)
+    graph = ChamberGraph(g, nodes, edges, node_ids, counter.count, counter.pivots)
     if verify_crossings:
         _verify_graph(graph)
     return graph

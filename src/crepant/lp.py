@@ -1,7 +1,9 @@
 """Exact rational linear programming for cone computations.
 
-Everything runs over Fractions with Bland's rule, so results are exact and
-termination is guaranteed.  Two entry points matter: feasibility of a
+One phase-I simplex kernel runs on a fraction-free integer tableau with
+Bland's rule, so results are exact and termination is guaranteed; each
+pivot updates the tableau a whole row at a time, with the same pivots as
+an entry-by-entry update.  Two entry points matter: feasibility of a
 system of inequalities (used for interior and wall sample points), and
 membership of a vector in the conic hull of others (used for redundancy
 elimination).  Cone membership returns a Farkas witness on failure: an
@@ -12,16 +14,19 @@ tested vector, which doubles as a separation certificate.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import CapError, InternalError
 
 
 class LPCounter:
-    """Counts simplex solves against a cap (0 or None disables the cap)."""
+    """Counts simplex solves and pivots against a cap on solves (0 or None
+    disables the cap)."""
 
     def __init__(self, cap=None):
         self.cap = cap
         self.count = 0
+        self.pivots = 0
 
     def tick(self):
         self.count += 1
@@ -34,7 +39,14 @@ def _phase1(A, b, counter=None):
 
     Fraction-free integer pivoting: the tableau stays integral with a
     single positive denominator (the previous pivot), so every entry is an
-    exact minor ratio.  Bland's rule guarantees termination.
+    exact minor ratio.  Bland's rule picks the entering column (the first
+    with negative reduced cost) and the ratio test breaks ties on the
+    smallest basic index, which guarantees termination and fixes the
+    basis sequence, hence the returned point.  A pivot rewrites each
+    non-pivot row, and the objective row, as one whole-row update
+    (a*piv - f*p) // D against the pivot row p, f the row's entry in the
+    entering column; a row with f = 0 is only rescaled, and left alone
+    when piv = D.
 
     Returns (True, x) on feasibility or (False, y) with the dual vector y
     satisfying y . A_j <= 0 for every column j and y . b > 0.
@@ -47,19 +59,15 @@ def _phase1(A, b, counter=None):
     rhs = ncols
     # Integer tableau [A | I_art | b], denominator D = 1, basis = artificials.
     T = [list(map(int, A[i])) + [1 if k == i else 0 for k in range(m)] + [int(b[i])] for i in range(m)]
-    obj = [0] * (ncols + 1)
-    for j in range(n):
-        obj[j] = -sum(T[i][j] for i in range(m))
-    # artificial columns have reduced cost 0 initially (c_j = 1, basic)
-    obj[rhs] = -sum(T[i][rhs] for i in range(m))
+    # Phase-I objective: minus the column sums, with the artificial columns
+    # at reduced cost 0 (c_j = 1, basic).
+    obj = [-s for s in map(sum, zip(*T))] if m else [0]
+    obj[n:ncols] = [0] * m
     D = 1
     basis = [n + i for i in range(m)]
+    pivots = 0
     while True:
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
         if enter < 0:
             break
         leave = -1
@@ -77,26 +85,21 @@ def _phase1(A, b, counter=None):
             raise InternalError("phase-I objective unbounded below")
         piv_row = T[leave]
         piv = piv_row[enter]
-        for i in range(m):
+        for i, row in enumerate(T):
             if i == leave:
                 continue
-            row = T[i]
             f = row[enter]
             if f:
-                for j in range(ncols + 1):
-                    row[j] = (row[j] * piv - f * piv_row[j]) // D
-            else:
-                for j in range(ncols + 1):
-                    row[j] = (row[j] * piv) // D
+                T[i] = [(a * piv - f * p) // D for a, p in zip(row, piv_row)]
+            elif piv != D:
+                T[i] = [a * piv // D for a in row]
         f = obj[enter]
-        if f:
-            for j in range(ncols + 1):
-                obj[j] = (obj[j] * piv - f * piv_row[j]) // D
-        else:
-            for j in range(ncols + 1):
-                obj[j] = (obj[j] * piv) // D
+        obj = [(a * piv - f * p) // D for a, p in zip(obj, piv_row)]
         D = piv
         basis[leave] = enter
+        pivots += 1
+    if counter is not None:
+        counter.pivots += pivots
     # Real objective value is obj[rhs] / D (negated).
     if obj[rhs] == 0:
         x = [Fraction(0)] * n
@@ -160,8 +163,8 @@ def cone_membership(c, gens, counter=None):
     t = tuple(-sign[i] * nums[i] for i in range(d))
     # Exactness paranoia: verify the Farkas certificate.
     for g in gens:
-        if sum(a * v for a, v in zip(g, t)) < 0:
+        if sum(map(mul, g, t)) < 0:
             raise InternalError("invalid Farkas witness (generator side)")
-    if sum(a * v for a, v in zip(c, t)) >= 0:
+    if sum(map(mul, c, t)) >= 0:
         raise InternalError("invalid Farkas witness (target side)")
     return False, t

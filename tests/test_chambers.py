@@ -19,7 +19,7 @@ from crepant.chambers import (
     ghilb_state,
     indicator_compatible,
 )
-from crepant.errors import UserError
+from crepant.errors import InternalError, UserError
 from crepant.fans import FanGeometry, flip_reachable_fans
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, invariant_lattice_basis, parse_group
@@ -60,6 +60,13 @@ def test_ghilb_chamber_cross_check_runs():
         g = parse_group(spec)
         ch = ghilb_chamber(g)
         assert len(ch.facets) >= 1
+
+
+def test_ghilb_chamber_lp_and_pivot_counts():
+    # both inequality families of 1/11(1,2,8): exact solve and pivot totals
+    counter = LPCounter()
+    ghilb_chamber(parse_group("1/11(1,2,8)"), counter)
+    assert (counter.count, counter.pivots) == (16, 204)
 
 
 def test_interior_point_strict():
@@ -259,6 +266,18 @@ ENUM_LP_COUNTS = {
     "1/2(1,1,0)+1/2(0,1,1)": 104,
 }
 
+# Exact simplex pivot totals of the same enumerations.  Bland's rule and the
+# ratio-test tie-break fix the basis sequence of every solve, so a change to
+# the LP kernel that keeps its pivots keeps these.
+ENUM_PIVOT_COUNTS = {
+    "1/2(1,0,1)": 2,
+    "1/3(1,1,1)": 7,
+    "1/5(1,1,3)": 144,
+    "1/6(1,2,3)": 5638,
+    "1/6(3,4,5)": 5570,
+    "1/2(1,1,0)+1/2(0,1,1)": 134,
+}
+
 
 @pytest.mark.parametrize(
     "spec,chambers,fans",
@@ -277,6 +296,7 @@ def test_enumerate_counts(spec, chambers, fans):
     graph = enumerate_chambers(g)
     assert len(graph.nodes) == chambers
     assert graph.lp_count == ENUM_LP_COUNTS[spec]
+    assert graph.pivot_count == ENUM_PIVOT_COUNTS[spec]
     assert len(graph.fans()) == fans
     assert graph.fans() == set(flip_reachable_fans(ghilb_fan(g).fan))
     assert state_digest(graph) == STATE_DIGESTS[spec]
@@ -288,6 +308,7 @@ def test_enumerate_klein_four_verified():
     assert graph.fans() == set(flip_reachable_fans(ghilb_fan(g).fan))
     assert len(graph.nodes) == 32
     assert graph.lp_count == ENUM_LP_COUNTS["1/2(1,1,0)+1/2(0,1,1)"]
+    assert graph.pivot_count == ENUM_PIVOT_COUNTS["1/2(1,1,0)+1/2(0,1,1)"]
     assert state_digest(graph) == STATE_DIGESTS["1/2(1,1,0)+1/2(0,1,1)"]
 
 
@@ -324,6 +345,39 @@ def test_taut_key_canonical_on_flopped_fans():
             assert cross_wall(nstate, back).key == state.key, facet.normal
 
 
+@pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/6(1,2,3)"])
+def test_type_i_crossing_solves_only_new_charts(spec, monkeypatch):
+    # A flop keeps the ray coefficients, and a chart depends only on its
+    # triangle and the coefficients at its vertices, so crossing a type-I
+    # wall solves and checks the charts of the new triangles only.
+    g = parse_group(spec)
+    s0 = ghilb_state(g)
+    flops = [f for f in compute_chamber(s0, LPCounter()).facets if f.wall_type == "I"]
+    assert flops
+    solved = []
+    chart = TautBundle.chart
+
+    def counting_chart(taut, ti):
+        solved.append(taut.fan.triangles[ti])
+        return chart(taut, ti)
+
+    monkeypatch.setattr(TautBundle, "chart", counting_chart)
+    for facet in flops:
+        solved.clear()
+        nstate = cross_wall(s0, facet)
+        new = set(nstate.fan.triangles) - set(s0.fan.triangles)
+        assert sorted(solved) == sorted(new)
+        assert nstate.taut.key == TautBundle.from_coeffs(g, nstate.fan, s0.taut.coeffs).key
+        # the new charts are checked: a coefficient off by one at a vertex
+        # opposite a flopped edge (a vertex of both new triangles) is caught
+        for endpoints in facet.contracted:
+            for v in s0.fan.opposite_vertices(s0.fan.edge(*endpoints)):
+                coeffs = [list(row) for row in s0.taut.coeffs]
+                coeffs[1][v] += 1  # row 0 is the trivial character's
+                with pytest.raises(InternalError):
+                    TautBundle(g, s0.fan, coeffs).proper_transform(nstate.fan)
+
+
 def test_enumerate_1_2_wall_types():
     g = parse_group("1/2(1,0,1)")
     graph = enumerate_chambers(g)
@@ -336,6 +390,8 @@ def test_enumerate_determinism():
     g2 = enumerate_chambers(g, workers=2)
     assert [st.key for st, _, _ in g1.nodes] == [st.key for st, _, _ in g2.nodes]
     assert g1.edges == g2.edges
+    # the pool's workers report their solves and pivots, which are summed
+    assert (g2.lp_count, g2.pivot_count) == (g1.lp_count, g1.pivot_count)
 
 
 def test_no_type_ii_small_groups():

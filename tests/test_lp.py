@@ -1,7 +1,128 @@
 import random
 from fractions import Fraction
 
-from crepant.lp import cone_membership, find_point
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crepant.lp import LPCounter, _phase1, cone_membership, find_point
+
+
+def reference_phase1(A, b):
+    """The phase-I kernel updated one tableau entry at a time: the same
+    fraction-free tableau, Bland's entering rule and ratio-test tie-break
+    as crepant.lp._phase1.  Returns (its result, the number of pivots)."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    ncols = n + m
+    rhs = ncols
+    T = [list(map(int, A[i])) + [1 if k == i else 0 for k in range(m)] + [int(b[i])] for i in range(m)]
+    obj = [0] * (ncols + 1)
+    for j in range(n):
+        obj[j] = -sum(T[i][j] for i in range(m))
+    obj[rhs] = -sum(T[i][rhs] for i in range(m))
+    D = 1
+    basis = [n + i for i in range(m)]
+    pivots = 0
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        for i in range(m):
+            tic = T[i][enter]
+            if tic > 0:
+                if leave < 0:
+                    leave = i
+                else:
+                    lhs = T[i][rhs] * T[leave][enter]
+                    rhs_v = T[leave][rhs] * tic
+                    if lhs < rhs_v or (lhs == rhs_v and basis[i] < basis[leave]):
+                        leave = i
+        assert leave >= 0, "phase-I objective unbounded below"
+        piv_row = T[leave]
+        piv = piv_row[enter]
+        for i in range(m):
+            if i == leave:
+                continue
+            row = T[i]
+            f = row[enter]
+            for j in range(ncols + 1):
+                row[j] = (row[j] * piv - f * piv_row[j]) // D
+        f = obj[enter]
+        for j in range(ncols + 1):
+            obj[j] = (obj[j] * piv - f * piv_row[j]) // D
+        D = piv
+        basis[leave] = enter
+        pivots += 1
+    if obj[rhs] == 0:
+        x = [Fraction(0)] * n
+        for i, bi in enumerate(basis):
+            if bi < n:
+                x[bi] = Fraction(T[i][rhs], D)
+        return (True, x), pivots
+    return (False, ([D - obj[n + i] for i in range(m)], D)), pivots
+
+
+def assert_matches_reference(A, b):
+    counter = LPCounter()
+    assert (_phase1(A, b, counter), counter.pivots) == reference_phase1(A, b)
+    assert counter.count == 1
+
+
+@st.composite
+def standard_form_systems(draw):
+    """Integer systems {A x = b, x >= 0} with b >= 0."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    A = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
+    return A, b
+
+
+@st.composite
+def cone_membership_systems(draw):
+    """The system cone_membership solves for a target c and 0/+-1
+    generators in dimension d <= 10: columns are the generators, rows are
+    sign-normalised so that b = |c|."""
+    d = draw(st.integers(1, 10))
+    vec = st.lists(st.integers(-1, 1), min_size=d, max_size=d)
+    gens = draw(st.lists(vec, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        c = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    else:
+        coeffs = draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+        c = [sum(k * g[i] for k, g in zip(coeffs, gens)) for i in range(d)]
+    sign = [1 if v >= 0 else -1 for v in c]
+    A = [[sign[i] * g[i] for g in gens] for i in range(d)]
+    b = [sign[i] * c[i] for i in range(d)]
+    return A, b
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(standard_form_systems())
+def test_phase1_matches_reference_on_random_systems(system):
+    assert_matches_reference(*system)
+
+
+@PROPERTY
+@given(cone_membership_systems())
+def test_phase1_matches_reference_on_cone_membership_systems(system):
+    assert_matches_reference(*system)
+
+
+def test_phase1_matches_reference_on_degenerate_systems():
+    # no rows; a zero right-hand side (feasible at once, no pivot); an
+    # infeasible system whose dual certificate is returned
+    assert_matches_reference([], [])
+    assert_matches_reference([[1, -1], [2, 0]], [0, 0])
+    assert_matches_reference([[1, 1], [-1, -1]], [1, 1])
 
 
 def test_find_point_simple():
