@@ -5,7 +5,7 @@ Run:  python3 demos/01_ghilb_basics.py
 
 from crepant.fans import curve_degrees, line_ratio
 from crepant.ggraphs import enumerate_ggraphs, ghilb_fan, socle
-from crepant.groups import junior_points, parse_group
+from crepant.groups import parse_group
 
 
 def mono(e):
@@ -23,7 +23,7 @@ print(f"group {g}, order {g.r}")
 print("coordinate characters:", [str(c) for c in g.coord_weights])
 
 print("\njunior simplex lattice points (scaled by r):")
-for p in junior_points(g):
+for p in g.junior_points:
     print(f"  {p.c}  [{p.kind}]")
 
 print("\nG-graphs (torus-invariant G-clusters):")

@@ -3,19 +3,20 @@
 A torus-invariant line bundle on the resolution is a divisor: one
 coefficient per ray of the fan, stored r-scaled as integers.  These ray
 coefficients, one row per character and reduced modulo the principal
-(invariant-exponent) rows to a canonical form, are the whole state of a
-tautological bundle: they are its key and its token format, and wall
-crossings update them directly (divisor twists add r on the divisor's
-rays; flops keep them).  Everything else is derived: the chart generator
-on a triangle is the Laurent exponent pairing to minus the coefficients of
-its three vertices, solved on demand and checked for integrality and
-character; degrees and star-surface restrictions are per-fan linear maps
-of the coefficients (fans.FanGeometry).  The tautological bundle T_rho of
-the G-Hilbert scheme starts from its chart generators, the G-graph
-monomials of weight rho.
+(invariant-exponent) rows to a canonical form by the group's
+principal_reducer, are the whole state of a tautological bundle: they are
+its key and its token format, and wall crossings update them directly
+(divisor twists add r on the divisor's rays; flops keep them).  Everything
+else is derived: the chart generator on a triangle is the Laurent exponent
+pairing to minus the coefficients of its three vertices, solved on demand
+and checked for integrality and character; degrees and star-surface
+restrictions are per-fan linear maps of the coefficients (the fan's
+geometry, a fans.FanGeometry).  The tautological bundle T_rho of the
+G-Hilbert scheme starts from its chart generators, the G-graph monomials
+of weight rho.
 
-Euler characteristics on star surfaces are integer Riemann-Roch on this
-data; the R(G)-valued classes of restricted bundles are assembled in
+Euler characteristics on star surfaces (integer Riemann-Roch on this data)
+and the R(G)-valued classes of restricted bundles are assembled in
 chambers.ClassTable.
 """
 
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, PreconditionError, UserError
-from .fans import FanGeometry, StarSurface, Triangulation
-from .groups import Character, GroupSpec, invariant_lattice_basis
-from .intlin import dot, hnf_rows, solve3_int
+from .fans import Triangulation
+from .groups import Character, GroupSpec
+from .intlin import dot, solve3_int
 
 Exponent = tuple[int, int, int]
 
@@ -37,16 +38,6 @@ Exponent = tuple[int, int, int]
 
 def rclass_regular(g: GroupSpec):
     return tuple(1 for _ in g.characters)
-
-
-def normalize_mod_regular(cls):
-    """Canonical representative of a class modulo the regular class [R].
-
-    Shifts by multiples of (1,...,1) so the first coefficient (the trivial
-    character) is zero.
-    """
-    t = cls[0]
-    return tuple(c - t for c in cls)
 
 
 @dataclass(frozen=True)
@@ -70,34 +61,6 @@ def theta_from_nontrivial(g: GroupSpec, vals) -> ThetaVector:
 
 
 # ---------------------------------------------------------------------------
-# Euler characteristics on star surfaces
-
-
-def euler_char_surface(star: StarSurface, coeffs) -> int:
-    """Euler characteristic of a line bundle on a complete smooth toric
-    surface, from its ray coefficients and the surface's self-intersections.
-
-    Uses chi(L) = chi(O) + (L.L - L.K)/2 with the intersection form read
-    off the cyclic fan: adjacent boundary curves meet once and the i-th
-    has self-intersection b_i.
-    """
-    b = star.selfint
-    n = len(b)
-    if len(coeffs) != n:
-        raise UserError("coefficient data does not match the star's rays")
-    degs = [
-        coeffs[(i - 1) % n] + b[i] * coeffs[i] + coeffs[(i + 1) % n]
-        for i in range(n)
-    ]
-    l2 = sum(c * d for c, d in zip(coeffs, degs))
-    lk = -sum(degs)  # K = -sum of boundary curves
-    num = l2 - lk
-    if num % 2:
-        raise InternalError("odd Riemann-Roch numerator on a smooth surface")
-    return 1 + num // 2
-
-
-# ---------------------------------------------------------------------------
 # The tautological bundle
 
 
@@ -109,7 +72,7 @@ class TautBundle:
     character's bundle, reduced to its canonical representative; these
     rows are the whole state.  Chart generators, degrees and restrictions
     are read off them: chart(ti) solves the generators on one triangle,
-    and the fan's FanGeometry maps give degrees and star restrictions.
+    and the fan's geometry maps give degrees and star restrictions.
     """
 
     def __init__(self, group: GroupSpec, fan: Triangulation, coeffs):
@@ -128,8 +91,8 @@ class TautBundle:
             )
         self.group = group
         self.fan = fan
-        reducer = _principal_reducer(group, fan.vertices)
-        self.coeffs = tuple(reducer(row) for row in coeffs)
+        reduce_row = group.principal_reducer
+        self.coeffs = tuple(reduce_row(row) for row in coeffs)
         if any(self.coeffs[group.char_index[group.trivial]]):
             raise InternalError(
                 "tautological bundle of the trivial character not trivial"
@@ -196,7 +159,7 @@ class TautBundle:
     def degree(self, rho: Character, e) -> int:
         """Degree of T_rho on the curve of an interior edge."""
         row = self.coeffs[self.group.char_index[rho]]
-        return FanGeometry.of(self.fan).edge_degree(e, row)
+        return self.fan.geometry.edge_degree(e, row)
 
     @property
     def key(self):
@@ -244,7 +207,7 @@ class TautBundle:
         """Type-III update: twist by the swept divisor according to the
         fiber degrees, which must all lie in {0,1} or all in {0,-1}."""
         g = self.group
-        geo = FanGeometry.of(self.fan)
+        geo = self.fan.geometry
         degs = {}
         for rho, row in zip(g.characters, self.coeffs):
             vals = {geo.edge_degree(e, row) for e in fiber_edges}
@@ -288,79 +251,3 @@ def ghilb_taut(g: GroupSpec, gh) -> TautBundle:
         for k in range(g.r):
             gens[k][ti] = gamma.gens[k]
     return TautBundle.from_gens(g, fan, gens)
-
-
-def line_bundle_of_theta(taut: TautBundle, theta: ThetaVector):
-    """Rational ray-coefficient data of the fractional bundle attached to a
-    stability parameter: the theta-weighted sum of the tautological
-    bundles' coefficients."""
-    g = taut.group
-    nv = len(taut.fan.vertices)
-    out = [Fraction(0)] * nv
-    for k in range(g.r):
-        th = theta.values[k]
-        if th:
-            for w in range(nv):
-                out[w] += th * taut.coeffs[k][w]
-    return tuple(out)
-
-
-def theta_degree(taut: TautBundle, theta: ThetaVector, e) -> Fraction:
-    """Degree of the theta line bundle on an interior edge's curve."""
-    return sum(
-        theta.values[k] * taut.degree(rho, e)
-        for k, rho in enumerate(taut.group.characters)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Canonical form against the principal sublattice
-
-_REDUCER_CACHE: dict = {}
-
-
-def _principal_reducer(group: GroupSpec, verts):
-    """Returns a function reducing an r-scaled ray-coefficient row to its
-    canonical representative.
-
-    Two coefficient rows give the same bundle exactly when they differ by
-    the pairing of a G-invariant exponent against all vertices (the chart
-    generators differ by that exponent).  These pairings form the principal
-    sublattice; reduction is by its Hermite normal form with the three
-    corner vertices' columns first, so canonical representatives are pinned
-    at the corners in a deterministic way.
-
-    The reducer depends on the group and the vertex list (a tuple of
-    r-scaled lattice points) alone and is shared by every fan on those
-    vertices.
-    """
-    cache_key = (group, verts)
-    if cache_key in _REDUCER_CACHE:
-        return _REDUCER_CACHE[cache_key]
-    r = group.r
-    corners = [verts.index((r, 0, 0)), verts.index((0, r, 0)), verts.index((0, 0, r))]
-    rest = [i for i in range(len(verts)) if i not in corners]
-    order = corners + rest
-    rows = [
-        [dot(b, verts[i]) for i in order]  # r-scaled pairings
-        for b in invariant_lattice_basis(group)
-    ]
-    steps = []
-    for row in hnf_rows(rows):
-        pcol = next(j for j, x in enumerate(row) if x != 0)
-        steps.append((pcol, row[pcol], row))
-
-    def reduce_row(coeff_row):
-        a = [coeff_row[i] for i in order]
-        for pcol, pivot, paired in steps:
-            q = a[pcol] // pivot
-            if q:
-                for j, x in enumerate(paired):
-                    a[j] -= q * x
-        out = [0] * len(order)
-        for j, i in enumerate(order):
-            out[i] = a[j]
-        return tuple(out)
-
-    _REDUCER_CACHE[cache_key] = reduce_row
-    return reduce_row

@@ -32,7 +32,7 @@ from .errors import (
     TypeIIWallError,
     UserError,
 )
-from .fans import FanGeometry, Triangulation, edge_relation, flip
+from .fans import Triangulation, flip
 from .ggraphs import ghilb_fan
 from .groups import Character, GroupSpec
 from .intlin import primitive
@@ -75,12 +75,11 @@ class Facet:
 
 @dataclass(frozen=True)
 class ChamberState:
-    """A moduli state: fan, tautological bundle, crossing provenance."""
+    """A moduli state: fan and tautological bundle."""
 
     group: GroupSpec
     fan: Triangulation
     taut: TautBundle
-    provenance: tuple = ()
 
     @property
     def key(self):
@@ -100,8 +99,8 @@ class ClassTable:
     """Per-state tables for assembling R(G)-classes of restricted bundles.
 
     The inequality family takes two classes per character and per
-    connected set S of compact divisors (FanGeometry.subsets, built once
-    per fan); each S is assembled from an earlier set's sums plus one
+    connected set S of compact divisors (the fan's geometry.subsets, built
+    once per fan); each S is assembled from an earlier set's sums plus one
     vertex's terms.  With c_k the star restriction of T_k on a component
     and M the star's intersection operator, Riemann-Roch gives the chi of
     T_s tensor T_r^(-1) on the star as 1 + (A_s + B_r - 2 c_s.Mc_r)/2 with
@@ -117,7 +116,7 @@ class ClassTable:
     def __init__(self, state: ChamberState):
         taut = state.taut
         self.state = state
-        geo = FanGeometry.of(state.fan)
+        geo = state.fan.geometry
         self.geo = geo
         self.edges = geo.edges
         self.edge_deg = [geo.edge_degrees(row) for row in taut.coeffs]
@@ -157,7 +156,7 @@ class ClassTable:
         return tuple(self.edge_deg[k][e_idx] + 1 for k in range(self.state.group.r))
 
     def subset_classes(self, krs=None):
-        """Per connected divisor set, in FanGeometry.subsets order:
+        """Per connected divisor set, in the fan's geometry.subsets order:
         (verts, sub classes, quot classes), the classes listed for the
         character indices krs (all characters by default)."""
         r = self.state.group.r
@@ -424,8 +423,9 @@ def _classify(state: ChamberState, normal, ineqs, tight, curve_prims) -> Facet:
     fiber_edges = []
     flop_edges = []
     swept = set()
+    geo = fan.geometry
     for e in contracted:
-        a, b = edge_relation(fan, e)
+        a, b = geo.relation(e)
         if (a, b) == (-1, -1):
             flop_edges.append(e)
         elif 0 in (a, b):
@@ -496,7 +496,7 @@ def _tautbundles_agree_on(state: ChamberState, chars, verts) -> bool:
     """Do the bundles of the given characters restrict isomorphically to
     every component of the divisor of the given vertices?  Tested via
     degrees on all torus curves at each component (faithful on Pic)."""
-    geo = FanGeometry.of(state.fan)
+    geo = state.fan.geometry
     at = [e for e in geo.edges if any(v in e.endpoints for v in verts)]
     index = state.group.char_index
     restricted = {
@@ -538,21 +538,20 @@ def _unstable_divisor(state, normal, ineqs, tight, r1, r2):
 def cross_wall(state: ChamberState, facet: Facet) -> ChamberState:
     """The adjacent state across a classified facet."""
     g = state.group
-    prov = state.provenance + ((facet.wall_type, facet.normal),)
     if facet.wall_type == "0":
         r2 = frozenset(Character(i) for i in facet.splitting[1])
         taut = state.taut.twist_by_divisor(facet.divisor, r2)
-        return ChamberState(g, state.fan, taut, prov)
+        return ChamberState(g, state.fan, taut)
     if facet.wall_type == "I":
         fan = state.fan
         for endpoints in facet.contracted:
             fan = flip(fan, fan.edge(*endpoints))
         taut = state.taut.proper_transform(fan)
-        return ChamberState(g, fan, taut, prov)
+        return ChamberState(g, fan, taut)
     if facet.wall_type == "III":
         fiber_edges = [state.fan.edge(*ep) for ep in facet.contracted]
         taut = state.taut.typeIII_twist(facet.swept, fiber_edges)
-        return ChamberState(g, state.fan, taut, prov)
+        return ChamberState(g, state.fan, taut)
     raise InternalError(f"unknown wall type {facet.wall_type}")
 
 

@@ -10,11 +10,13 @@ rays of the fan (divisors of the resolution), edges are two-dimensional
 cones (curves; compact exactly when the edge is interior to the simplex),
 triangles are three-dimensional cones (chart fixed points).
 
-FanGeometry caches, per fan, everything a line bundle's invariants need
-besides the bundle itself: star surfaces, incidence tables, the two
-linear maps that read curve degrees and star restrictions off a bundle's
-r-scaled ray coefficients, and the table of connected compact-divisor
-subsets over which the chamber inequalities are assembled.
+Each fan key has one Triangulation object (its constructor interns), and
+everything a line bundle's invariants need besides the bundle itself is
+that object's geometry attribute, a FanGeometry built on first use: star
+surfaces, incidence tables, the two linear maps that read curve degrees
+and star restrictions off a bundle's r-scaled ray coefficients, and the
+table of connected compact-divisor subsets over which the chamber
+inequalities are assembled.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import CapError, DegenerateEdgeError, InternalError, InvalidFlipError, UserError
-from .groups import GroupSpec, junior_points
+from .groups import GroupSpec
 from .intlin import det3, integer_kernel, primitive, solve3_int, sub
 
 
@@ -42,18 +44,39 @@ class Edge:
 
 
 class Triangulation:
-    """A basic (unimodular) triangulation of the junior simplex."""
+    """A basic (unimodular) triangulation of the junior simplex.
 
-    def __init__(self, group: GroupSpec, triangles, validate: bool = True):
-        self.group = group
-        self.vertices = tuple(p.c for p in junior_points(group))
-        self.vertex_kind = tuple(p.kind for p in junior_points(group))
+    There is one object per group and triangle key.  Construction sorts the
+    triangles into the key before it builds anything and returns the object
+    already built for that key, which was validated then; a triangle list
+    that fails validation enters nothing.  Identity is therefore key
+    equality, and the fan's geometry is an attribute of the one object.
+    Unpickling goes through the constructor as well.
+    """
+
+    _interned: dict = {}
+
+    def __new__(cls, group: GroupSpec, triangles):
+        key = (group, tuple(sorted(tuple(sorted(t)) for t in triangles)))
+        self = cls._interned.get(key)
+        if self is not None:
+            return self
+        self = super().__new__(cls)
+        self.group, self.triangles = key
+        self.vertices = tuple(p.c for p in group.junior_points)
+        self.vertex_kind = tuple(p.kind for p in group.junior_points)
         self.vindex = {c: i for i, c in enumerate(self.vertices)}
-        tris = sorted(tuple(sorted(t)) for t in triangles)
-        self.triangles = tuple(tris)
         self._build_edges()
-        if validate:
-            self._validate()
+        self._validate()
+        cls._interned[key] = self
+        return self
+
+    def __reduce__(self):
+        return Triangulation, (self.group, self.triangles)
+
+    @cached_property
+    def geometry(self) -> "FanGeometry":
+        return FanGeometry(self)
 
     def _build_edges(self):
         edge_map: dict[tuple[int, int], list[int]] = {}
@@ -120,16 +143,6 @@ class Triangulation:
     def triangles_at_vertex(self, v: int) -> tuple[int, ...]:
         return tuple(ti for ti, t in enumerate(self.triangles) if v in t)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Triangulation)
-            and self.group == other.group
-            and self.triangles == other.triangles
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.triangles))
-
 
 def edge_relation(t: Triangulation, e: Edge) -> tuple[int, int]:
     """Integers (a, b) with v1 + v2 + a*w1 + b*w2 = 0 in N, in endpoint order.
@@ -173,7 +186,8 @@ def curve_degrees(t: Triangulation, e: Edge) -> tuple[int, int]:
 
 
 def flip(t: Triangulation, e: Edge) -> Triangulation:
-    """Flip a (-1,-1) edge: exchange the diagonal of its quadrilateral."""
+    """Flip a (-1,-1) edge: exchange the diagonal of its quadrilateral.
+    The flipped fan is the one object of its key (see Triangulation)."""
     a, b = edge_relation(t, e)
     if (a, b) != (-1, -1):
         raise InvalidFlipError(
@@ -348,9 +362,10 @@ class DivisorSubset(NamedTuple):
 
 
 class FanGeometry:
-    """Bundle-independent data of a fan, cached per fan key: star surfaces,
-    incidence tables, linear maps on r-scaled ray-coefficient rows, and the
-    connected compact-divisor subsets.
+    """Bundle-independent data of a fan: star surfaces, incidence tables,
+    linear maps on r-scaled ray-coefficient rows, and the connected
+    compact-divisor subsets.  It is built once per fan key, as the
+    geometry attribute of the fan's one Triangulation object.
 
     A row c lists, per vertex, r times the coefficient of a line bundle's
     torus-invariant divisor.  Its degree on the curve of an interior edge
@@ -361,17 +376,6 @@ class FanGeometry:
     (c[u] - sum alpha_i c[t_i]) / r.  Both maps raise when r does not
     divide, which means the row is not the data of a line bundle.
     """
-
-    _cache: dict = {}
-
-    @classmethod
-    def of(cls, fan: Triangulation) -> "FanGeometry":
-        key = (fan.group, fan.key)
-        hit = cls._cache.get(key)
-        if hit is None:
-            hit = cls(fan)
-            cls._cache[key] = hit
-        return hit
 
     def __init__(self, fan: Triangulation):
         r = fan.group.r
@@ -490,6 +494,10 @@ class FanGeometry:
         """Degrees of the bundle with coefficient row on every interior
         edge's curve, in interior-edge order."""
         return [self._degree(terms, row) for terms in self._edge_terms]
+
+    def relation(self, e: Edge) -> tuple[int, int]:
+        """The edge relation (a, b) of an interior edge (edge_relation)."""
+        return self._edge_terms[self.edge_idx[e.endpoints]][4:]
 
     def edge_degree(self, e: Edge, row) -> int:
         """Degree of the bundle with coefficient row on one interior edge."""

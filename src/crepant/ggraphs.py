@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError
 from .fans import Triangulation
-from .groups import Character, GroupSpec, junior_points
+from .groups import Character, GroupSpec
 from .intlin import det3, dot
 
 Exponent = tuple[int, int, int]
@@ -137,7 +137,7 @@ def cone_candidate_points(gamma: GGraph, g: GroupSpec):
     """Junior/corner points lying in the G-graph's cone."""
     ineqs = cone_of(gamma, g)
     return [
-        p for p in junior_points(g) if all(dot(q, p.c) >= 0 for q in ineqs)
+        p for p in g.junior_points if all(dot(q, p.c) >= 0 for q in ineqs)
     ]
 
 
@@ -189,7 +189,7 @@ def ghilb_fan(g: GroupSpec) -> GHilbFan:
         if tri in by_triangle:
             raise InternalError(f"two G-graphs share the maximal cone {tri}")
         by_triangle[tri] = gamma
-    coords = {p.c: i for i, p in enumerate(junior_points(g))}
+    coords = {p.c: i for i, p in enumerate(g.junior_points)}
     tris = [tuple(sorted(coords[c] for c in tri)) for tri in by_triangle]
     if len(tris) != r:
         raise InternalError(

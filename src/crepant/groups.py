@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 
@@ -49,9 +49,16 @@ class GroupSpec:
         r: the group order (product of factor orders).
         characters: all characters in lexicographic index order; the trivial
             character is first.
+
+    There is one object per reduced factor tuple: construction returns the
+    group already built for the tuple, so identity is equality, and the
+    per-group data (junior points, principal reducer) is kept on that one
+    object.  Unpickling goes through the constructor as well.
     """
 
-    def __init__(self, factors):
+    _interned: dict = {}
+
+    def __new__(cls, factors):
         cleaned = []
         for order, weights in factors:
             if order < 1:
@@ -62,7 +69,12 @@ class GroupSpec:
                     f"weights {weights} do not sum to 0 mod {order}; not in SL(3)"
                 )
             cleaned.append((order, w))
-        self.factors = tuple(cleaned)
+        key = tuple(cleaned)
+        self = cls._interned.get(key)
+        if self is not None:
+            return self
+        self = super().__new__(cls)
+        self.factors = key
         self.r = 1
         for order, _ in self.factors:
             self.r *= order
@@ -80,6 +92,11 @@ class GroupSpec:
                 "coordinate weights do not generate all characters; "
                 "the diagonal action is not faithful for the stated order"
             )
+        cls._interned[key] = self
+        return self
+
+    def __reduce__(self):
+        return GroupSpec, (self.factors,)
 
     def _weights_of_cube(self):
         seen = {self.trivial}
@@ -117,11 +134,61 @@ class GroupSpec:
             )
         )
 
-    def __eq__(self, other):
-        return isinstance(other, GroupSpec) and self.factors == other.factors
+    @cached_property
+    def junior_points(self) -> tuple[LatticePointN, ...]:
+        """Lattice points of the junior simplex: age-1 elements plus
+        corners, sorted, each flagged corner / edge / interior relative to
+        the simplex.  Every fan of the group is a triangulation on them."""
+        r = self.r
+        corners = [(r, 0, 0), (0, r, 0), (0, 0, r)]
+        pts = [LatticePointN(c, "corner") for c in corners]
+        seen = set(corners)
+        for v in group_elements_scaled(self):
+            if sum(v) == r and v not in seen:
+                seen.add(v)
+                kind = "interior" if all(x > 0 for x in v) else "edge"
+                pts.append(LatticePointN(v, kind))
+        pts.sort(key=lambda p: p.c)
+        return tuple(pts)
 
-    def __hash__(self):
-        return hash(self.factors)
+    @cached_property
+    def principal_reducer(self):
+        """The function reducing an r-scaled ray-coefficient row over the
+        junior points to its canonical representative, the form in which
+        every tautological bundle of the group is stored (bundles).
+
+        Two coefficient rows give the same bundle exactly when they differ
+        by the pairing of a G-invariant exponent against all vertices (the
+        chart generators differ by that exponent).  These pairings form the
+        principal sublattice; reduction is by its Hermite normal form with
+        the three corner vertices' columns first, so canonical
+        representatives are pinned at the corners in a deterministic way.
+        The vertices are the group's junior points, so the reducer is the
+        group's and serves every fan of it.  Each Hermite step is mapped
+        back to the vertex order here, once, so reducing a row permutes
+        nothing and a canonical row costs one floor division per step.
+        """
+        verts = [p.c for p in self.junior_points]
+        r = self.r
+        corners = [verts.index((r, 0, 0)), verts.index((0, r, 0)), verts.index((0, 0, r))]
+        order = corners + [i for i in range(len(verts)) if i not in corners]
+        pairings = [[dot(b, verts[i]) for i in order] for b in invariant_lattice_basis(self)]
+        steps = []
+        for row in hnf_rows(pairings):
+            pcol = next(j for j, x in enumerate(row) if x != 0)
+            paired = [0] * len(order)
+            for j, i in enumerate(order):
+                paired[i] = row[j]
+            steps.append((order[pcol], row[pcol], paired))
+
+        def reduce_row(row):
+            for col, pivot, paired in steps:
+                q = row[col] // pivot
+                if q:
+                    row = [a - q * x for a, x in zip(row, paired)]
+            return tuple(row)
+
+        return reduce_row
 
     def __str__(self):
         return "+".join(
@@ -135,7 +202,8 @@ _TERM = re.compile(r"^1/(\d+)\((\d+),(\d+),(\d+)\)$")
 
 
 def parse_group(text: str) -> GroupSpec:
-    """Parse ``1/n(a,b,c)`` terms joined by '+' into a GroupSpec."""
+    """Parse ``1/n(a,b,c)`` terms joined by '+' into a GroupSpec, the one
+    object of its reduced factor tuple."""
     squeezed = re.sub(r"\s+", "", text)
     if not squeezed:
         raise GroupParseError("empty group spec")
@@ -149,10 +217,6 @@ def parse_group(text: str) -> GroupSpec:
             raise GroupValidationError("factor order must be >= 1, got 0")
         factors.append((n, (a, b, c)))
     return GroupSpec(factors)
-
-
-def weight(e: Exponent, g: GroupSpec) -> Character:
-    return g.weight(e)
 
 
 def invariant_lattice_basis(g: GroupSpec) -> list[Exponent]:
@@ -201,32 +265,3 @@ def group_elements_scaled(g: GroupSpec):
                 v[j] += i * w[j] * step
         out.append(tuple(x % g.r for x in v))
     return out
-
-
-@lru_cache(maxsize=None)
-def _junior_cache(g: GroupSpec):
-    r = g.r
-    pts = []
-    corners = [
-        (r, 0, 0),
-        (0, r, 0),
-        (0, 0, r),
-    ]
-    for c in corners:
-        pts.append(LatticePointN(c, "corner"))
-    seen = set(corners)
-    for v in group_elements_scaled(g):
-        if sum(v) == r and v not in seen:
-            seen.add(v)
-            kind = "interior" if all(x > 0 for x in v) else "edge"
-            pts.append(LatticePointN(v, kind))
-    pts.sort(key=lambda p: p.c)
-    return tuple(pts)
-
-
-def junior_points(g: GroupSpec) -> list[LatticePointN]:
-    """Lattice points of the junior simplex: age-1 elements plus corners.
-
-    Each point is flagged corner / edge / interior relative to the simplex.
-    """
-    return list(_junior_cache(g))

@@ -8,7 +8,6 @@ kernels.  All arithmetic is over Python ints (arbitrary precision).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -17,10 +16,6 @@ Vec3 = tuple[int, int, int]
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def sub(u, v):
@@ -33,20 +28,6 @@ def det3(a: Vec3, b: Vec3, c: Vec3) -> int:
         - a[1] * (b[0] * c[2] - b[2] * c[0])
         + a[2] * (b[0] * c[1] - b[1] * c[0])
     )
-
-
-def solve3(rows: list[Vec3], rhs: list) -> tuple[Fraction, Fraction, Fraction]:
-    """Solve the 3x3 system rows @ x = rhs exactly (Cramer)."""
-    d = det3(*rows)
-    if d == 0:
-        raise ZeroDivisionError("singular 3x3 system")
-    cols = list(zip(*rows))
-    out = []
-    for j in range(3):
-        m = [list(c) for c in cols]
-        m[j] = list(rhs)
-        out.append(Fraction(det3(*zip(*m)), d))
-    return tuple(out)
 
 
 def solve3_int(rows: list[Vec3], rhs: list) -> Vec3:
@@ -121,18 +102,6 @@ def hnf_rows(mat: list[list[int]]) -> list[list[int]]:
                 for j in range(ncols):
                     out[k][j] -= q * out[i][j]
     return out
-
-
-def reduce_mod_lattice(v: list[int], hnf: list[list[int]]) -> tuple[int, ...]:
-    """Canonical coset representative of v modulo the row span of an HNF."""
-    w = list(v)
-    for row in hnf:
-        pcol = next(j for j, a in enumerate(row) if a != 0)
-        q = w[pcol] // row[pcol]
-        if q:
-            for j in range(len(w)):
-                w[j] -= q * row[j]
-    return tuple(w)
 
 
 def integer_kernel(mat: list[list[int]]) -> list[list[int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .groups import Character, GroupSpec
+from .groups import GroupSpec
 
 
 def pairing_table(g: GroupSpec):
@@ -88,34 +88,7 @@ def untwist_class(g: GroupSpec, e_class, y):
     return tuple(a + chi * b for a, b in zip(y, e_class))
 
 
-def shift_class(g: GroupSpec, cls, sigma: Character):
-    """Class transport under tensoring the parameter by a character:
-    the value at rho moves to sigma*rho."""
-    out = [0] * g.r
-    for i, rho in enumerate(g.characters):
-        out[g.char_index[g.char_add(sigma, rho)]] = cls[i]
-    return tuple(out)
-
-
-def dual_class(g: GroupSpec, cls):
-    """Dualisation: rho goes to its inverse and the sign flips."""
-    out = [0] * g.r
-    for i, rho in enumerate(g.characters):
-        out[g.char_index[g.char_neg(rho)]] = -cls[i]
-    return tuple(out)
-
-
 def theta_pairing(theta, cls) -> Fraction:
     """Pairing of a stability parameter with an R(G)-class; insensitive to
     shifting the class by multiples of the regular class."""
     return sum(t * c for t, c in zip(theta.values, cls))
-
-
-def theta_shift(g: GroupSpec, theta, sigma: Character):
-    """The parameter theta'(rho) = theta(sigma * rho)."""
-    vals = [Fraction(0)] * g.r
-    for i, rho in enumerate(g.characters):
-        vals[i] = theta.values[g.char_index[g.char_add(sigma, rho)]]
-    from .bundles import ThetaVector
-
-    return ThetaVector(tuple(vals))

@@ -231,13 +231,16 @@ def state_from_token(token: str) -> ChamberState:
             raise UserError("invalid state token: truncated data")
         payload = json.loads(raw)
         g = parse_group(payload["group"])
-        fan = Triangulation(g, [tuple(t) for t in payload["triangles"]])
+        tris = [tuple(t) for t in payload["triangles"]]
         rows = [tuple(r) for r in payload["coeffs"]]
-        if any(type(x) is not int for row in rows for x in row):
-            raise UserError("invalid state token: coefficients must be integers")
+        # Fans are looked up by key before they are built, and 1.0 or True
+        # would find the fan of the integer 1.
+        if any(type(x) is not int for seq in tris + rows for x in seq):
+            raise UserError("invalid state token: indices and coefficients must be integers")
+        fan = Triangulation(g, tris)
         taut = TautBundle.from_coeffs(g, fan, rows)
     except UserError:
         raise
     except Exception as ex:  # malformed token data
         raise UserError(f"invalid state token: {ex}") from None
-    return ChamberState(g, fan, taut, ())
+    return ChamberState(g, fan, taut)

@@ -2,11 +2,11 @@ import functools
 import hashlib
 import itertools
 import json
+import pickle
 import random
 
 import pytest
 
-from crepant import bundles
 from crepant.bundles import TautBundle
 from crepant.chambers import (
     _facet_normals,
@@ -20,7 +20,7 @@ from crepant.chambers import (
     indicator_compatible,
 )
 from crepant.errors import InternalError, UserError
-from crepant.fans import FanGeometry, flip_reachable_fans
+from crepant.fans import FanGeometry, Triangulation, flip_reachable_fans
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, invariant_lattice_basis, parse_group
 from crepant.intlin import primitive
@@ -130,7 +130,8 @@ def test_subset_table_built_once_per_fan(monkeypatch):
     prop = functools.cached_property(counting_build)
     prop.__set_name__(FanGeometry, "subsets")
     monkeypatch.setattr(FanGeometry, "subsets", prop)
-    monkeypatch.setattr(FanGeometry, "_cache", {})
+    # Fresh fan objects, hence fresh geometry.
+    monkeypatch.setattr(Triangulation, "_interned", {})
     graph = enumerate_chambers(parse_group("1/6(1,2,3)"))
     assert len(graph.nodes) == 264
     assert len(graph.fans()) == 5
@@ -313,13 +314,13 @@ def test_enumerate_klein_four_verified():
 
 
 def test_taut_key_canonical_on_flopped_fans():
-    # The principal reducer is cached per (group, vertices) and shared by
-    # every fan on those vertices.  Fill the cache from the G-Hilb fan, then
-    # build bundles on the fans one flop away: their keys must not depend
-    # on which fan the cache was filled from, nor on the invariant exponent
-    # by which the chart generators are shifted.
+    # The principal reducer is the group's and shared by every fan of it.
+    # Rebuild it while the G-Hilb bundle is built, then build bundles on
+    # the fans one flop away: their keys must not depend on which fan the
+    # reducer was first used on, nor on the invariant exponent by which
+    # the chart generators are shifted.
     g = parse_group("1/6(3,4,5)")
-    bundles._REDUCER_CACHE.clear()
+    vars(g).pop("principal_reducer", None)
     s0 = ghilb_state(g)
     flopped = [
         cross_wall(s0, f)
@@ -392,6 +393,30 @@ def test_enumerate_determinism():
     assert g1.edges == g2.edges
     # the pool's workers report their solves and pivots, which are summed
     assert (g2.lp_count, g2.pivot_count) == (g1.lp_count, g1.pivot_count)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_object_per_fan_and_group(workers):
+    # Pool results are unpickled through the interning constructors, so they
+    # land on the parent's fan and group objects.
+    g = parse_group("1/6(1,2,3)")
+    graph = enumerate_chambers(g, workers=workers)
+    states = [st for st, _, _ in graph.nodes]
+    assert len({id(st.fan) for st in states}) == len(graph.fans()) == 5
+    assert all(st.taut.fan is st.fan for st in states)
+    assert {id(x) for st in states for x in (st.group, st.fan.group, st.taut.group)} == {id(g)}
+
+
+def test_pickled_state_keeps_its_fan_and_group():
+    g = parse_group("1/6(1,2,3)")
+    s0 = ghilb_state(g)
+    states = [s0] + [cross_wall(s0, f) for f in compute_chamber(s0, LPCounter()).facets]
+    assert len({st.fan.key for st in states}) > 1
+    for st in states:
+        back = pickle.loads(pickle.dumps(st))
+        assert back.fan is st.fan and back.taut.fan is st.fan
+        assert back.group is g and back.taut.group is g
+        assert back.key == st.key
 
 
 def test_no_type_ii_small_groups():

@@ -10,6 +10,7 @@ import pytest
 from crepant import bundles, report
 from crepant.chambers import compute_chamber, cross_wall, ghilb_state
 from crepant.errors import UserError
+from crepant.fans import Triangulation
 from crepant.groups import Character, parse_group
 from crepant.lp import LPCounter
 from crepant.report import state_from_token, state_token
@@ -99,14 +100,14 @@ def test_state_token_roundtrip_on_ghilb_neighbours():
     states = [(f.wall_type, cross_wall(s0, f)) for f in facets]
     for wall_type, s in states:
         assert state_from_token(state_token(s)).key == s.key, wall_type
-    # The canonicalising reducer is cached per vertex set and shared by
-    # every fan on it.  Decode again with the cache filled from each
-    # flopped fan in turn, so a reducer that read the charts of the fan
-    # that filled the cache would show here.
+    # The canonicalising reducer is the group's and shared by every fan of
+    # it.  Decode again with the reducer rebuilt while a bundle on each
+    # flopped fan in turn is built, so a reducer that read the charts of
+    # the fan it was first used on would show here.
     for filler_type, flopped in states:
         if filler_type != "I":
             continue
-        bundles._REDUCER_CACHE.clear()
+        vars(g).pop("principal_reducer", None)
         bundles.TautBundle.from_coeffs(g, flopped.fan, flopped.taut.coeffs)
         for wall_type, s in states:
             assert state_from_token(state_token(s)).key == s.key, wall_type
@@ -118,19 +119,23 @@ def _encode(payload):
 
 
 def _malformed_tokens():
-    # Each token breaks one condition on the coefficient rows of a valid
-    # state of 1/6(1,2,3); the last is not a token at all.
+    # Each token breaks one condition on the coefficient rows or the
+    # triangles of a valid state of 1/6(1,2,3), or is not a token at all.
     g = parse_group("1/6(1,2,3)")
     state = ghilb_state(g)
     good = json.loads(zlib.decompress(base64.urlsafe_b64decode(state_token(state))))
     k0 = g.char_index[g.trivial]
     k1, k2 = g.char_index[Character((1,))], g.char_index[Character((2,))]
     v = state.fan.interior_vertices()[0]
+    corners = sorted(state.fan.vindex[c] for c in ((6, 0, 0), (0, 6, 0), (0, 0, 6)))
 
-    def edited(edit):
+    def edited(edit, field="coeffs"):
         payload = json.loads(json.dumps(good))
-        edit(payload["coeffs"])
+        edit(payload[field])
         return _encode(payload)
+
+    def first_triangle(tris, tri):
+        tris[0] = tri
 
     def bump(rows, k, w, by):
         rows[k][w] += by
@@ -145,6 +150,10 @@ def _malformed_tokens():
         "wrong character": edited(swap),
         "nonzero trivial row": edited(lambda rows: bump(rows, k0, v, g.r)),
         "float coefficients": edited(lambda rows: bump(rows, k1, v, 0.0)),
+        "non-basic triangle": edited(lambda tris: first_triangle(tris, corners), "triangles"),
+        "float triangle index": edited(
+            lambda tris: first_triangle(tris, [float(i) for i in tris[0]]), "triangles"
+        ),
         "garbage": "not-a-token",
         "truncated": state_token(state)[:40],
         "compressed zeros": base64.urlsafe_b64encode(
@@ -165,6 +174,18 @@ def test_state_from_token_rejects_malformed(case):
     p = run_cli("cross", "1/6(1,2,3)", "--facet", "0", "--seed-state", token)
     assert p.returncode == 1, (case, p.stderr)
     assert "error" in p.stderr
+
+
+def test_rejected_token_enters_no_fan():
+    # Fans are interned by key; a token whose triangles fail validation, or
+    # whose indices only compare equal to a known key, must leave the
+    # table as it was.
+    tokens = _malformed_tokens()
+    before = dict(Triangulation._interned)
+    for case in ("non-basic triangle", "float triangle index"):
+        with pytest.raises(UserError):
+            state_from_token(tokens[case])
+        assert Triangulation._interned == before, case
 
 
 def test_cross_bad_facet_index():

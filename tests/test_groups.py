@@ -7,7 +7,6 @@ from crepant.groups import (
     Character,
     group_elements_scaled,
     invariant_lattice_basis,
-    junior_points,
     parse_group,
 )
 from crepant.intlin import det3, dot
@@ -109,7 +108,7 @@ def test_invariant_lattice_pairs_integrally_with_group_points():
 
 def test_junior_points_1_11_1_2_8():
     g = parse_group("1/11(1,2,8)")
-    pts = junior_points(g)
+    pts = g.junior_points
     interior = [p for p in pts if p.kind == "interior"]
     assert len(interior) == 5
     assert {p.c for p in interior} == {
@@ -123,14 +122,14 @@ def test_junior_points_1_11_1_2_8():
 
 def test_junior_points_1_3_1_1_1():
     g = parse_group("1/3(1,1,1)")
-    pts = junior_points(g)
+    pts = g.junior_points
     interior = [p for p in pts if p.kind == "interior"]
     assert [p.c for p in interior] == [(1, 1, 1)]
 
 
 def test_junior_points_1_2_1_0_1():
     g = parse_group("1/2(1,0,1)")
-    pts = junior_points(g)
+    pts = g.junior_points
     noncorner = [p for p in pts if p.kind != "corner"]
     assert len(noncorner) == 1
     assert noncorner[0].c == (1, 0, 1)
@@ -140,6 +139,6 @@ def test_junior_points_1_2_1_0_1():
 def test_every_junior_point_has_age_one():
     for spec in ["1/11(1,2,8)", "1/6(1,2,3)", "1/6(1,1,4)+1/2(1,0,1)"]:
         g = parse_group(spec)
-        for p in junior_points(g):
+        for p in g.junior_points:
             assert sum(p.c) == g.r
             assert all(x >= 0 for x in p.c)

@@ -1,16 +1,31 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crepant.groups import invariant_lattice_basis, parse_group
 from crepant.intlin import (
     det3,
+    dot,
     hnf_rows,
     integer_kernel,
     primitive,
-    reduce_mod_lattice,
-    solve3,
     solve3_int,
 )
+
+
+def reduce_mod_lattice(v, hnf):
+    """Canonical coset representative of v modulo the row span of an HNF,
+    one pivot column at a time: the reference for the principal reducer."""
+    w = list(v)
+    for row in hnf:
+        pcol = next(j for j, a in enumerate(row) if a != 0)
+        q = w[pcol] // row[pcol]
+        if q:
+            for j in range(len(w)):
+                w[j] -= q * row[j]
+    return tuple(w)
 
 
 def test_det3():
@@ -28,7 +43,6 @@ def test_solve3_matches_cramer():
         x = tuple(rng.randrange(-7, 8) for _ in range(3))
         rhs = [sum(r[i] * x[i] for i in range(3)) for r in rows]
         assert solve3_int(rows, rhs) == x
-        assert tuple(solve3(rows, rhs)) == x
 
 
 def test_solve3_int_rejects_fractional():
@@ -75,3 +89,23 @@ def test_hnf_randomized_span_preserved():
         # every original row reduces to zero against the HNF
         for r in rows:
             assert reduce_mod_lattice(list(r), h) == (0, 0, 0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_principal_reducer_matches_reduce_mod_lattice(data):
+    # The reducer works in vertex order; the reference reduces the row
+    # permuted into HNF column order (corners first) against the HNF of the
+    # principal pairings.
+    g = parse_group(
+        data.draw(st.sampled_from(["1/6(1,2,3)", "1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]))
+    )
+    verts = [p.c for p in g.junior_points]
+    r = g.r
+    corners = [verts.index((r, 0, 0)), verts.index((0, r, 0)), verts.index((0, 0, r))]
+    order = corners + [i for i in range(len(verts)) if i not in corners]
+    hnf = hnf_rows([[dot(b, verts[i]) for i in order] for b in invariant_lattice_basis(g)])
+    row = data.draw(st.lists(st.integers(-4 * r, 4 * r), min_size=len(verts), max_size=len(verts)))
+    out = g.principal_reducer(row)
+    assert tuple(out[i] for i in order) == reduce_mod_lattice([row[i] for i in order], hnf)
+    assert g.principal_reducer(out) == out

@@ -3,16 +3,12 @@ from fractions import Fraction
 
 from crepant.bundles import ghilb_taut, rclass_regular, theta_from_nontrivial
 from crepant.chambers import ChamberState, ClassTable
-from crepant.fans import FanGeometry
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
 from crepant.ktheory import (
     compact_pairing,
-    dual_class,
     pairing_table,
-    shift_class,
     theta_pairing,
-    theta_shift,
     twist_class,
     untwist_class,
 )
@@ -92,20 +88,6 @@ def test_twist_class_properties():
             assert untwist_class(g, e, ty) == y
 
 
-def test_shift_and_dual():
-    g = parse_group("1/11(1,2,8)")
-    rng = random.Random(4)
-    cls = tuple(rng.randrange(-4, 5) for _ in range(g.r))
-    assert shift_class(g, cls, g.trivial) == cls
-    assert dual_class(g, dual_class(g, cls)) == cls
-    # theta-pairing equivariance of the shift
-    sigma = Character((3,))
-    theta = theta_from_nontrivial(g, [rng.randrange(-3, 4) for _ in range(g.r - 1)])
-    lhs = theta_pairing(theta_shift(g, theta, sigma), cls)
-    rhs = theta_pairing(theta, shift_class(g, cls, sigma))
-    assert lhs == rhs
-
-
 def test_theta_pairing_regular_class_vanishes():
     g = parse_group("1/6(1,2,3)")
     theta = theta_from_nontrivial(g, [1, 2, -3, 5, 7])
@@ -134,7 +116,7 @@ def test_divisor_curve_pairing_cross_module():
         taut = ghilb_taut(g, gh)
         fan = gh.fan
         table = ClassTable(ChamberState(g, fan, taut))
-        geo = FanGeometry.of(fan)
+        geo = fan.geometry
         for v in fan.interior_vertices():
             phi_od = table.restriction_class(g.char_index[g.trivial], [v])
             for i, e in enumerate(fan.interior_edges):
