@@ -18,6 +18,7 @@ tautological update.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import lcm
@@ -243,17 +244,6 @@ def generate_inequalities(state: ChamberState, table: ClassTable | None = None):
 # Facet extraction
 
 
-def indicator_compatible(func) -> bool:
-    """Can this functional support a wall?  Wall hyperplanes are cut out by
-    proper subrepresentations, whose classes take exactly the values 0 and
-    1; with the trivial character's coefficient eliminated, the primitive
-    functional of a wall is a 0/1 or -1/0 vector."""
-    p = primitive(func)
-    vals = set(p)
-    vals.add(0)
-    return vals <= {0, 1} or vals <= {-1, 0}
-
-
 def _two_term_sum(f, pool: set):
     """Is f = a + b for two distinct members of the pool (conic combos of
     other valid inequalities are never extreme, hence never facets)?"""
@@ -267,11 +257,11 @@ def _two_term_sum(f, pool: set):
 
 
 def _foot_certificate(f, probes, candidates):
-    """Facet certificate without LP: the orthogonal foot of the origin ray
-    through f on the hyperplane {f = 0} is q = <f,f> t0 - ... ; here we use
-    q = (f.f) e - (f.e) f for a probe point e strictly inside the others,
-    scaled to stay integral.  Returns True when a point on the hyperplane
-    strictly satisfies every other candidate, which certifies a facet."""
+    """Facet certificate without LP.  For each probe point e, the point
+    q = (f.f) e - (f.e) f is (f.f) times the orthogonal projection of e
+    onto the hyperplane {f = 0}, so it is integral and lies on that
+    hyperplane.  Returns True when some such q strictly satisfies every
+    other candidate, which certifies that f spans a facet."""
     ff = sum(x * x for x in f)
     for probe in probes:
         fe = sum(a * b for a, b in zip(f, probe))
@@ -578,7 +568,6 @@ class ChamberGraph:
     group: GroupSpec
     nodes: list  # list of (state, facets tuple, interior point)
     edges: list  # sorted (from_id, to_id, facet normal, wall type)
-    node_ids: dict  # state key -> id
     lp_count: int
     pivot_count: int  # simplex pivots over all LP solves
 
@@ -586,26 +575,18 @@ class ChamberGraph:
         return {st.fan.key for st, _, _ in self.nodes}
 
 
-def _expand_state(state: ChamberState, counter: LPCounter):
-    """One BFS step: the chamber of a state and all its crossings."""
+def _expand(state: ChamberState):
+    """One BFS step on its own LP counter: (facets, interior point,
+    [(facet normal, wall type, neighbour state)], LP solves, pivots)."""
+    counter = LPCounter()
     chamber = compute_chamber(state, counter)
-    crossings = []
-    for facet in chamber.facets:
-        crossings.append((facet, cross_wall(state, facet)))
-    return chamber, crossings
-
-
-def _worker_expand(payload):
-    state = payload
-    wcounter = LPCounter()
-    chamber, crossings = _expand_state(state, wcounter)
+    crossings = [(f.normal, f.wall_type, cross_wall(state, f)) for f in chamber.facets]
     return (
-        state.key,
         tuple(chamber.facets),
         chamber.interior_point,
-        [(f.normal, f.wall_type, ns) for f, ns in crossings],
-        wcounter.count,
-        wcounter.pivots,
+        crossings,
+        counter.count,
+        counter.pivots,
     )
 
 
@@ -618,80 +599,60 @@ def enumerate_chambers(
 ) -> ChamberGraph:
     """BFS over chambers from the G-Hilb chamber across all facets.
 
-    With workers > 1 the frontier is expanded by a process pool; results
-    are merged on canonical state keys, and the output is canonically
-    sorted either way.
+    The graph is expanded one BFS level at a time, by map or, with
+    workers > 1, by a process pool's imap, which returns results in level
+    order.  Each state is numbered the first time its key is seen, and
+    edges are kept by those numbers.  After each expansion the loop checks
+    the LP cap (0 or None disables it) and the chamber cap, so where a
+    capped run stops does not depend on the pool.  Nodes are then
+    renumbered by sorted state key.
     """
-    counter = LPCounter(max_lp)
     s0 = ghilb_state(g)
-    data = {}  # key -> (state, facets, interior point)
-    raw_edges = []  # (from_key, to_key, normal, type)
-    seen = {s0.key: s0}
-
-    def merge(key, facets, pt, crossings):
-        new_states = []
-        data[key] = (seen[key], facets, pt)
-        for normal, wtype, nstate in crossings:
-            raw_edges.append((key, nstate.key, normal, wtype))
-            if nstate.key not in seen:
-                if len(seen) >= max_chambers:
-                    raise CapError(f"chamber cap of {max_chambers} exceeded")
-                seen[nstate.key] = nstate
-                new_states.append(nstate)
-        return new_states
-
+    index = {s0.key: 0}  # state key -> discovery index
+    nodes = []  # by discovery index: (state, facets, interior point)
+    edges = []  # (from index, to index, normal, type)
+    lp_count = pivot_count = 0
+    level = [s0]
+    pool = None
     if workers > 1:
-        import multiprocessing as mp
-        import queue as _queue
-        from collections import deque
+        from multiprocessing import get_context  # serial runs skip the import
 
-        pending = deque([s0])
-        results: _queue.SimpleQueue = _queue.SimpleQueue()
-        outstanding = 0
-        with mp.get_context("fork").Pool(workers) as pool:
-            while pending or outstanding:
-                while pending and outstanding < 16 * workers:
-                    pool.apply_async(
-                        _worker_expand,
-                        (pending.popleft(),),
-                        callback=results.put,
-                        error_callback=results.put,
-                    )
-                    outstanding += 1
-                res = results.get()
-                outstanding -= 1
-                if isinstance(res, BaseException):
-                    raise res
-                key, facets, pt, crossings, nlp, npiv = res
-                counter.count += nlp
-                counter.pivots += npiv
-                if counter.cap and counter.count > counter.cap:
-                    raise CapError(f"LP solve cap of {counter.cap} exceeded")
-                pending.extend(merge(key, facets, pt, crossings))
-    else:
-        queue = [s0]
-        qi = 0
-        while qi < len(queue):
-            state = queue[qi]
-            qi += 1
-            chamber, crossings = _expand_state(state, counter)
-            queue.extend(
-                merge(
-                    state.key,
-                    tuple(chamber.facets),
-                    chamber.interior_point,
-                    [(f.normal, f.wall_type, ns) for f, ns in crossings],
-                )
-            )
-    # Canonical ids by sorted state key.
-    keys = sorted(data.keys())
-    node_ids = {k: i for i, k in enumerate(keys)}
-    nodes = [data[k] for k in keys]
-    edges = sorted(
-        (node_ids[a], node_ids[b], normal, wtype)
-        for a, b, normal, wtype in raw_edges
+        pool = get_context("fork").Pool(workers)
+    with pool or nullcontext():
+        expand = pool.imap if pool else map
+        while level:
+            next_level = []
+            for state, result in zip(level, expand(_expand, level)):
+                facets, pt, crossings, nlp, npiv = result
+                i = len(nodes)  # levels run in discovery order
+                nodes.append((state, facets, pt))
+                for normal, wtype, nstate in crossings:
+                    new = len(index)
+                    j = index.setdefault(nstate.key, new)
+                    if j == new:
+                        next_level.append(nstate)
+                    edges.append((i, j, normal, wtype))
+                lp_count += nlp
+                pivot_count += npiv
+                if max_lp and lp_count > max_lp:
+                    raise CapError(f"LP solve cap of {max_lp} exceeded")
+                if len(index) > max_chambers:
+                    raise CapError(f"chamber cap of {max_chambers} exceeded")
+            level = next_level
+    # Canonical ids by sorted state key; the index keeps keys in discovery
+    # order.
+    keys = list(index)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    graph = ChamberGraph(
+        g,
+        [nodes[i] for i in order],
+        sorted((rank[a], rank[b], normal, wtype) for a, b, normal, wtype in edges),
+        lp_count,
+        pivot_count,
     )
-    graph = ChamberGraph(g, nodes, edges, node_ids, counter.count, counter.pivots)
     if verify_crossings:
         _verify_graph(graph)
     return graph
@@ -724,14 +685,13 @@ def ghilb_chamber(
     classes, a plain positivity per marked character, quotient inequalities
     at the trivial character only).  The two facet systems must agree."""
     counter = counter or LPCounter()
-    gh = ghilb_fan(g)
-    state = ChamberState(g, gh.fan, ghilb_taut(g, gh))
+    state = ghilb_state(g)
     table = ClassTable(state)
     generic = chamber_cone(
         state, generate_inequalities(state, table), counter, prune_non_walls
     )
 
-    marks = mark_divisors(gh, g)
+    marks = mark_divisors(ghilb_fan(g), g)
     special = []
     for i, e in enumerate(table.edges):
         special.append(Inequality(table.curve_class(i), ">", ("curve", e.endpoints)))

@@ -12,7 +12,6 @@ import argparse
 import sys
 
 from . import chambers, report
-from .bundles import ghilb_taut
 from .errors import CapError, InternalError, UserError
 from .fans import flip_reachable_fans
 from .ggraphs import ghilb_fan
@@ -83,7 +82,7 @@ def cmd_ghilb(args):
     gh = ghilb_fan(g)
     m = marking(gh, g)
     check_partition(gh, g, m)
-    state = chambers.ChamberState(g, gh.fan, ghilb_taut(g, gh))
+    state = chambers.ghilb_state(g)
     rep = {
         "schema": report.SCHEMA,
         "command": "ghilb",

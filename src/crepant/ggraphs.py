@@ -11,6 +11,7 @@ cones are exactly the basic triangles of the fan of the G-Hilbert scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InternalError
 from .fans import Triangulation
@@ -150,12 +151,14 @@ class GHilbFan:
         self.by_triangle = by_triangle  # triangle index-triple -> GGraph
 
 
+@cache
 def ghilb_fan(g: GroupSpec) -> GHilbFan:
     """Assemble the fan of the G-Hilbert scheme from maximal G-graphs.
 
     A G-graph is kept when its cone meets the junior simplex in a basic
     triangle; the triangles must tile the simplex (validated), and there
-    are exactly r of them.
+    are exactly r of them.  Built once per group: groups are interned and
+    hash by identity, so the result is kept for the group object.
     """
     r = g.r
     by_triangle = {}

@@ -16,22 +16,15 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .errors import CapError, InternalError
+from .errors import InternalError
 
 
 class LPCounter:
-    """Counts simplex solves and pivots against a cap on solves (0 or None
-    disables the cap)."""
+    """Counts simplex solves and pivots."""
 
-    def __init__(self, cap=None):
-        self.cap = cap
+    def __init__(self):
         self.count = 0
         self.pivots = 0
-
-    def tick(self):
-        self.count += 1
-        if self.cap and self.count > self.cap:
-            raise CapError(f"LP solve cap of {self.cap} exceeded")
 
 
 def _phase1(A, b, counter=None):
@@ -52,7 +45,7 @@ def _phase1(A, b, counter=None):
     satisfying y . A_j <= 0 for every column j and y . b > 0.
     """
     if counter is not None:
-        counter.tick()
+        counter.count += 1
     m = len(A)
     n = len(A[0]) if m else 0
     ncols = n + m

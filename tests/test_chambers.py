@@ -17,9 +17,8 @@ from crepant.chambers import (
     generate_inequalities,
     ghilb_chamber,
     ghilb_state,
-    indicator_compatible,
 )
-from crepant.errors import InternalError, UserError
+from crepant.errors import CapError, InternalError, UserError
 from crepant.fans import FanGeometry, Triangulation, flip_reachable_fans
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, invariant_lattice_basis, parse_group
@@ -119,7 +118,7 @@ def test_ghilb_inequality_counts(spec, count):
     assert len(generate_inequalities(ghilb_state(parse_group(spec)))) == count
 
 
-def test_subset_table_built_once_per_fan(monkeypatch):
+def test_subset_table_built_once_per_fan(monkeypatch, request):
     built = []
     build = FanGeometry.__dict__["subsets"].func
 
@@ -130,12 +129,27 @@ def test_subset_table_built_once_per_fan(monkeypatch):
     prop = functools.cached_property(counting_build)
     prop.__set_name__(FanGeometry, "subsets")
     monkeypatch.setattr(FanGeometry, "subsets", prop)
-    # Fresh fan objects, hence fresh geometry.
+    # Fresh fan objects, hence fresh geometry.  G-Hilb fans are memoised
+    # per group, so the memo is dropped as the table is swapped in, and
+    # again before the old table comes back.
     monkeypatch.setattr(Triangulation, "_interned", {})
+    ghilb_fan.cache_clear()
+    request.addfinalizer(ghilb_fan.cache_clear)
     graph = enumerate_chambers(parse_group("1/6(1,2,3)"))
     assert len(graph.nodes) == 264
     assert len(graph.fans()) == 5
     assert sorted(built) == sorted(graph.fans())
+
+
+def indicator_compatible(func) -> bool:
+    """Reference wall screen: wall hyperplanes are cut out by proper
+    subrepresentations, whose classes take exactly the values 0 and 1;
+    with the trivial character's coefficient eliminated, the primitive
+    functional of a wall is a 0/1 or -1/0 vector."""
+    p = primitive(func)
+    vals = set(p)
+    vals.add(0)
+    return vals <= {0, 1} or vals <= {-1, 0}
 
 
 def test_indicator_compatible():
@@ -383,6 +397,17 @@ def test_enumerate_1_2_wall_types():
     g = parse_group("1/2(1,0,1)")
     graph = enumerate_chambers(g)
     assert {e[3] for e in graph.edges} == {"III"}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_enumerate_caps(workers):
+    g = parse_group("1/5(1,1,3)")  # 15 chambers, 47 LP solves
+    graph = enumerate_chambers(g, max_chambers=15, max_lp=47, workers=workers)
+    assert (len(graph.nodes), graph.lp_count) == (15, ENUM_LP_COUNTS["1/5(1,1,3)"])
+    with pytest.raises(CapError, match="LP solve cap of 46"):
+        enumerate_chambers(g, max_lp=46, workers=workers)
+    with pytest.raises(CapError, match="chamber cap of 14"):
+        enumerate_chambers(g, max_chambers=14, workers=workers)
 
 
 def test_enumerate_determinism():
