@@ -288,11 +288,14 @@ def _facet_normals(prims, counter: LPCounter):
     Cheap exact certificates go first: a candidate equal to the sum of two
     others is never extreme, and a point on a candidate's hyperplane
     strictly inside all other candidates certifies a facet.  One pass over
-    the rest, in support-size order, then settles each with one exact LP:
-    a candidate lying in the cone of the candidates still kept is dropped.
-    Dropping a generator that lies in the cone of the others leaves the
-    cone unchanged, and the cone of a subset only shrinks, so a candidate
-    kept at its turn stays irredundant and the pass ends on the facet set.
+    the rest, in support-size order, then settles each with one exact
+    cone-membership test: a candidate lying in the cone of the candidates
+    still kept is dropped.  The test starts with the exact sign presolve of
+    lp.cone_membership, which decides most candidates with no simplex; only
+    what it leaves undecided costs an LP.  Dropping a generator that lies
+    in the cone of the others leaves the cone unchanged, and the cone of a
+    subset only shrinks, so a candidate kept at its turn stays irredundant
+    and the pass ends on the facet set.
     """
     uniq = sorted(
         set(prims),
@@ -426,10 +429,7 @@ def _classify(state: ChamberState, normal, ineqs, tight, curve_prims) -> Facet:
                 f"wall contracts a curve with degrees {(a, b)}; the"
                 " contraction would drop a divisor to a point"
             )
-    for v in set(fan.interior_vertices()):
-        at_v = [
-            e for e in fan.interior_edges if v in e.endpoints
-        ]
+    for v, at_v in geo.edges_at.items():
         if at_v and all(e in contracted for e in at_v):
             raise TypeIIWallError(
                 f"wall contracts every curve at vertex {fan.vertices[v]}"

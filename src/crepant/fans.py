@@ -385,6 +385,10 @@ class FanGeometry:
         self.stars = {v: star_surface(fan, v) for v in self.interior}
         self.edges = fan.interior_edges
         self.edge_idx = {e.endpoints: i for i, e in enumerate(self.edges)}
+        # The compact curves on each compact divisor.
+        self.edges_at = {
+            v: tuple(e for e in self.edges if v in e.endpoints) for v in self.interior
+        }
         self._edge_terms = [
             fan.opposite_vertices(e) + e.endpoints + edge_relation(fan, e)
             for e in self.edges

@@ -9,6 +9,16 @@ membership of a vector in the conic hull of others (used for redundancy
 elimination).  Cone membership returns a Farkas witness on failure: an
 exact point weakly inside the cone's dual and strictly negative on the
 tested vector, which doubles as a separation certificate.
+
+Cone membership first runs an exact sign presolve on bit masks of each
+coordinate row's generator signs.  A forcing row (target 0, generators of
+one sign) drops the generators that are nonzero on it; a singleton row
+(one nonzero generator) fixes that generator's weight and substitutes it.
+A row whose target has no generator of its sign proves infeasibility, and
+a target reduced to 0 proves feasibility; only what is left undecided
+reaches the kernel, on the reduced rows and columns.  A Farkas witness of
+the reduced system is carried back through the dropped rows in reverse
+order, so every infeasible answer has a full witness, checked exactly.
 """
 
 from __future__ import annotations
@@ -134,30 +144,131 @@ def find_point(rows, rhs, counter=None):
 def cone_membership(c, gens, counter=None):
     """Is c a nonnegative rational combination of gens?
 
+    The system sum_j x_j g_j = c, x >= 0, has one row per coordinate.  An
+    exact presolve runs first, on bit masks over the generators of each
+    row's signs, and applies two rules until neither fires:
+
+    - forcing row: c_i = 0 and every live generator is >= 0 on row i (or
+      every one is <= 0), so those nonzero there have weight 0; they and
+      the row are dropped;
+    - singleton row: c_i != 0, exactly one live generator g_j is nonzero
+      on row i and divides c_i, so x_j = c_i / g_j[i] (positive, as the
+      sign test below runs first); x_j g_j is subtracted from c and the
+      row and the column are dropped.
+
+    A row with c_i != 0 and no live generator of its sign proves the
+    system infeasible; once c has become 0 it is feasible, and the
+    substituted combination is recomputed exactly.  Otherwise the phase-I
+    kernel decides the reduced rows and columns, and only this case counts
+    as an LP solve.
+
     Returns (True, None) or (False, witness) where the witness t is an
     integer vector with dot(g, t) >= 0 for every generator and
-    dot(c, t) < 0, all verified exactly.
+    dot(c, t) < 0, all verified exactly.  It starts as the reduced
+    system's witness (or -sign(c_i) e_i for a row with no generator of its
+    sign), zero on the dropped rows, and is rebuilt through the dropped
+    rows in reverse order: a forcing row of sign s gets t_i = s*M with M
+    just large enough that every generator dropped there has g . t >= 0;
+    a singleton row gets the t_i with g_j . t = 0, t first scaled by
+    |g_j[i]| when needed.  Generators still live after a row's elimination
+    vanish on it, so neither step moves their products, and c vanishes on
+    the row once it is eliminated, so c . t keeps its sign.
     """
     d = len(c)
-    if not gens:
-        if any(c):
-            t = tuple(-v for v in c)
-            return False, t
-        return True, None
-    sign = [1 if v >= 0 else -1 for v in c]
-    A = [[sign[i] * g[i] for g in gens] for i in range(d)]
-    b = [sign[i] * c[i] for i in range(d)]
-    ok, res = _phase1(A, b, counter)
-    if ok:
-        return True, None
-    # res = (numerators, positive denominator) of the dual vector; the
-    # witness only matters up to positive scale, so stay integral.
-    nums, den = res
-    t = tuple(-sign[i] * nums[i] for i in range(d))
+    pos = [0] * d  # per row: bit j set when g_j is > 0 there
+    neg = [0] * d  # per row: bit j set when g_j is < 0 there
+    for j, g in enumerate(gens):
+        bit = 1 << j
+        for i, v in enumerate(g):
+            if v > 0:
+                pos[i] |= bit
+            elif v < 0:
+                neg[i] |= bit
+    target = c
+    c = list(c)
+    live = (1 << len(gens)) - 1
+    left = list(range(d))  # live rows
+    steps = []  # ("force", row, sign, dropped mask) | ("single", row, generator, weight)
+    t = None
+    changed = True
+    while changed and t is None:
+        changed = False
+        for i in left[:]:
+            p = pos[i] & live
+            q = neg[i] & live
+            ci = c[i]
+            if ci == 0:
+                if p and q:
+                    continue
+                if p or q:
+                    steps.append(("force", i, 1 if p else -1, p | q))
+                    live &= ~(p | q)
+            elif not (p if ci > 0 else q):
+                t = [0] * d
+                t[i] = -1 if ci > 0 else 1
+                break
+            else:
+                nz = p | q
+                if nz & (nz - 1):
+                    continue
+                j = nz.bit_length() - 1
+                g = gens[j]
+                x, rem = divmod(ci, g[i])
+                if rem:
+                    continue
+                c = [a - x * b for a, b in zip(c, g)]
+                steps.append(("single", i, j, x))
+                live ^= nz
+            left.remove(i)
+            changed = True
+    if t is None:
+        if not any(c):
+            # Feasible, with weight 0 on every generator still live.
+            total = [0] * d
+            for kind, _, j, x in steps:
+                if kind == "single":
+                    total = [a + x * b for a, b in zip(total, gens[j])]
+            if total != list(target):
+                raise InternalError("invalid presolve combination")
+            return True, None
+        cols = [g for j, g in enumerate(gens) if live >> j & 1]
+        sign = [1 if c[i] >= 0 else -1 for i in left]
+        A = [[s * g[i] for g in cols] for i, s in zip(left, sign)]
+        b = [s * c[i] for i, s in zip(left, sign)]
+        ok, res = _phase1(A, b, counter)
+        if ok:
+            return True, None
+        # res = (numerators, positive denominator) of the dual vector; the
+        # witness only matters up to positive scale, so stay integral.
+        t = [0] * d
+        for i, s, y in zip(left, sign, res[0]):
+            t[i] = -s * y
+    for step in reversed(steps):
+        if step[0] == "force":
+            _, i, s, mask = step
+            m = 0
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                g = gens[low.bit_length() - 1]
+                base = sum(map(mul, g, t))
+                if base < 0:
+                    m = max(m, -(base // abs(g[i])))
+            t[i] = s * m
+        else:
+            _, i, j, _ = step
+            g = gens[j]
+            base = sum(map(mul, g, t))
+            if base % g[i]:
+                k = abs(g[i])
+                t = [k * v for v in t]
+                base *= k
+            t[i] = -base // g[i]
+    t = tuple(t)
     # Exactness paranoia: verify the Farkas certificate.
     for g in gens:
         if sum(map(mul, g, t)) < 0:
             raise InternalError("invalid Farkas witness (generator side)")
-    if sum(map(mul, c, t)) >= 0:
+    if sum(map(mul, target, t)) >= 0:
         raise InternalError("invalid Farkas witness (target side)")
     return False, t

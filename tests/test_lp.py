@@ -67,6 +67,46 @@ def reference_phase1(A, b):
     return (False, ([D - obj[n + i] for i in range(m)], D)), pivots
 
 
+def reference_cone_membership(c, gens):
+    """Cone membership by one phase-I solve of the whole system, with no
+    presolve: the row-sign-normalised system {sum_j x_j g_j = c, x >= 0}
+    goes to the entry-by-entry reference kernel.  Returns (decision,
+    Farkas witness or None)."""
+    d = len(c)
+    if not gens:
+        if any(c):
+            return False, tuple(-v for v in c)
+        return True, None
+    sign = [1 if v >= 0 else -1 for v in c]
+    A = [[sign[i] * g[i] for g in gens] for i in range(d)]
+    b = [sign[i] * c[i] for i in range(d)]
+    (ok, res), _ = reference_phase1(A, b)
+    if ok:
+        return True, None
+    nums, den = res
+    return False, tuple(-sign[i] * nums[i] for i in range(d))
+
+
+def assert_farkas(c, gens, t):
+    assert all(isinstance(v, int) for v in t)
+    assert all(sum(a * b for a, b in zip(g, t)) >= 0 for g in gens)
+    assert sum(a * b for a, b in zip(c, t)) < 0
+
+
+def assert_membership_matches_reference(c, gens):
+    """Same decision as the reference, at most one kernel solve, and a
+    witness that passes the Farkas check on every infeasible answer."""
+    counter = LPCounter()
+    ok, t = cone_membership(c, gens, counter)
+    assert ok == reference_cone_membership(c, gens)[0]
+    assert counter.count <= 1
+    if ok:
+        assert t is None
+    else:
+        assert_farkas(c, gens, t)
+    return counter.count
+
+
 def assert_matches_reference(A, b):
     counter = LPCounter()
     assert (_phase1(A, b, counter), counter.pivots) == reference_phase1(A, b)
@@ -102,6 +142,38 @@ def cone_membership_systems(draw):
     return A, b
 
 
+@st.composite
+def integer_cone_systems(draw):
+    """A target and integer generators in dimension d <= 6, entries in
+    [-3, 3]; the target is a nonnegative combination half of the time."""
+    d = draw(st.integers(1, 6))
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    gens = draw(st.lists(vec, max_size=8))
+    if draw(st.booleans()):
+        c = draw(vec)
+    else:
+        coeffs = draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+        c = [sum(k * g[i] for k, g in zip(coeffs, gens)) for i in range(d)]
+    return c, gens
+
+
+@st.composite
+def single_signed_cone_systems(draw):
+    """0/+-1 generators whose rows mostly carry one sign (all entries 0 or
+    +1, or all 0 or -1), so the forcing and singleton rules of the presolve
+    fire often and chain; a target of zeros on many rows."""
+    d = draw(st.integers(1, 8))
+    row_signs = draw(st.lists(st.sampled_from([1, -1, 0]), min_size=d, max_size=d))
+    entries = [st.sampled_from([0, s]) if s else st.integers(-1, 1) for s in row_signs]
+    gens = draw(st.lists(st.tuples(*entries), max_size=10))
+    if draw(st.booleans()):
+        c = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=d, max_size=d))
+    else:
+        coeffs = draw(st.lists(st.integers(0, 2), min_size=len(gens), max_size=len(gens)))
+        c = [sum(k * g[i] for k, g in zip(coeffs, gens)) for i in range(d)]
+    return c, gens
+
+
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
@@ -115,6 +187,57 @@ def test_phase1_matches_reference_on_random_systems(system):
 @given(cone_membership_systems())
 def test_phase1_matches_reference_on_cone_membership_systems(system):
     assert_matches_reference(*system)
+
+
+@PROPERTY
+@given(integer_cone_systems())
+def test_cone_membership_matches_reference_on_integer_systems(system):
+    assert_membership_matches_reference(*system)
+
+
+@PROPERTY
+@given(single_signed_cone_systems())
+def test_cone_membership_matches_reference_on_single_signed_systems(system):
+    assert_membership_matches_reference(*system)
+
+
+def test_presolve_forcing_row():
+    # c_1 = 0 and both generators are >= 0 there, so both take weight 0 and
+    # row 2 has no generator left; -e_2 becomes (1, -1) with M = 1
+    c, gens = (0, 1), [(1, 1), (2, 1)]
+    assert assert_membership_matches_reference(c, gens) == 0
+    assert cone_membership(c, gens) == (False, (1, -1))
+
+
+def test_presolve_singleton_substitution():
+    # row 1 fixes x_1 = 2, then row 2 fixes x_2 = 1: feasible with no LP
+    assert assert_membership_matches_reference((2, 3), [(1, 1), (0, 1)]) == 0
+    # row 1 fixes x_1 = 2 and leaves -3 on row 2, where no generator is
+    # negative; the witness e_2 is replayed with g_1 . t = 0, once as is and
+    # once scaled by g_1[1] = 2
+    assert cone_membership((2, -1), [(1, 1), (0, 1)]) == (False, (-1, 1))
+    assert cone_membership((4, -1), [(2, 1), (0, 1)]) == (False, (-1, 2))
+    # 2 does not divide 3 or 1, so the singleton rule waits: the kernel
+    # decides the first system; in the second, row 2 forces both generators
+    # out and leaves row 1 with no generator
+    assert assert_membership_matches_reference((3, 3), [(2, 2), (0, 1)]) == 1
+    assert cone_membership((1, 0), [(2, 2), (0, 1)]) == (False, (-1, 1))
+
+
+def test_presolve_witness_replayed_through_both_rules():
+    # Row 1 forces out g_1 and g_3, row 2 fixes x_2 = 1, and row 3 is then
+    # left at -2 with no generator; e_3 is replayed through the singleton
+    # row (t_2 = -1) and then the forcing row, where g_3 . t = -6 sets M = 6.
+    c, gens = (0, 1, -1), [(1, 0, -1), (0, 1, 1), (1, 1, -5)]
+    assert assert_membership_matches_reference(c, gens) == 0
+    assert cone_membership(c, gens) == (False, (6, -1, 1))
+    # Row 1 forces out g_1, and rows 2 and 3 (x - y = 1, y - x = 1) go to
+    # the kernel, whose witness is replayed through the forcing row.
+    c, gens = (0, 1, 1), [(1, 5, 0), (0, 1, -1), (0, -1, 1)]
+    counter = LPCounter()
+    ok, t = cone_membership(c, gens, counter)
+    assert not ok and counter.count == 1 and t[0] > 0
+    assert_farkas(c, gens, t)
 
 
 def test_phase1_matches_reference_on_degenerate_systems():
