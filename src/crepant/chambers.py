@@ -122,7 +122,7 @@ class ClassTable:
         self.edges = geo.edges
         self.edge_deg = [geo.edge_degrees(row) for row in taut.coeffs]
         self._edge_cols = list(zip(*self.edge_deg))
-        self.star_coeffs = {
+        star_coeffs = {
             v: [geo.restrict_to_star(v, row) for row in taut.coeffs]
             for v in geo.interior
         }
@@ -133,7 +133,7 @@ class ClassTable:
         # on the star of u.
         self._self_twist = {}
         self._edge_twist = [[0] * len(taut.coeffs) for _ in self.edges]
-        for v, cs in self.star_coeffs.items():
+        for v, cs in star_coeffs.items():
             mc = [geo.apply_op(v, c) for c in cs]
             a = [sum(map(mul, c, m)) + sum(m) for c, m in zip(cs, mc)]
             b = [sum(map(mul, c, m)) - sum(m) for c, m in zip(cs, mc)]
@@ -151,7 +151,6 @@ class ClassTable:
                 ei = geo.edge_idx[min(u, v), max(u, v)]
                 row = self._edge_twist[ei]
                 self._edge_twist[ei] = [x + sum(map(mul, c, ops[u])) for x, c in zip(row, cs)]
-        self._by_verts = None
 
     def curve_class(self, e_idx: int):
         return tuple(self.edge_deg[k][e_idx] + 1 for k in range(self.state.group.r))
@@ -193,32 +192,6 @@ class ClassTable:
                 for cls, kr in zip(subs, krs)
             ]
             yield verts, subs, quots
-
-    def restriction_class(self, kr: int, verts):
-        """Class of T_rho^{-1} restricted to the reduced divisor of the
-        given interior vertices, rho the kr-th character: the sum over
-        sigma of chi(T_sigma tensor T_rho^{-1} restricted)."""
-        return self._class_of("sub", kr, verts)
-
-    def canonical_class(self, kr: int, verts):
-        """Class of T_rho^{-1} tensor omega_D on the reduced divisor D of
-        the given vertices, with omega_D = O(D)|_D by adjunction on the
-        crepant resolution."""
-        return self._class_of("quot", kr, verts)
-
-    def _class_of(self, kind, kr, verts):
-        verts = frozenset(verts)
-        if not verts:
-            raise UserError("empty divisor")
-        if not verts <= self.star_coeffs.keys():
-            raise UserError("divisor vertices must be interior vertices")
-        if self._by_verts is None:
-            self._by_verts = {
-                vs: {"sub": subs, "quot": quots}
-                for vs, subs, quots in self.subset_classes()
-            }
-        parts = [self._by_verts[comp][kind][kr] for comp in self.geo.components(verts)]
-        return tuple(map(sum, zip(*parts)))
 
 
 def generate_inequalities(state: ChamberState, table: ClassTable | None = None):
@@ -338,9 +311,7 @@ class Chamber:
         raise UserError(f"no facet with normal {normal}")
 
 
-def chamber_cone(
-    state: ChamberState, ineqs, counter: LPCounter, prune_non_walls: bool = True
-) -> Chamber:
+def chamber_cone(state: ChamberState, ineqs, counter: LPCounter) -> Chamber:
     """Facets, tight inequality sets and a rational interior point.
 
     Only inequalities that can span a wall are facet candidates: with the
@@ -348,15 +319,16 @@ def chamber_cone(
     0/1 or -1/0 vector, so its raw class takes exactly two values (one
     value is the zero functional).  The others are implied by the
     candidates whenever the system cuts out a chamber, so they are left
-    out of the facet scan unless prune_non_walls is False; the exactness
-    guard still checks every inequality at the interior point.
+    out of the facet scan; the tests certify this on every chamber they
+    walk (each excluded functional lies in the cone of the facet normals),
+    and the exactness guard checks every inequality at the interior point.
     """
     prims = {}  # candidate index -> primitive functional
     for i, iq in enumerate(ineqs):
         nvals = len(set(iq.raw))
         if nvals == 1:
             raise InternalError(f"vanishing inequality functional from {iq.source}")
-        if nvals == 2 or not prune_non_walls:
+        if nvals == 2:
             prims[i] = primitive(iq.functional())
     tight = {}  # primitive functional -> candidate indices
     for i, p in prims.items():
@@ -487,7 +459,7 @@ def _tautbundles_agree_on(state: ChamberState, chars, verts) -> bool:
     every component of the divisor of the given vertices?  Tested via
     degrees on all torus curves at each component (faithful on Pic)."""
     geo = state.fan.geometry
-    at = [e for e in geo.edges if any(v in e.endpoints for v in verts)]
+    at = dict.fromkeys(e for v in verts for e in geo.edges_at[v])
     index = state.group.char_index
     restricted = {
         tuple(geo.edge_degree(e, state.taut.coeffs[index[c]]) for e in at) for c in chars
@@ -545,12 +517,8 @@ def cross_wall(state: ChamberState, facet: Facet) -> ChamberState:
     raise InternalError(f"unknown wall type {facet.wall_type}")
 
 
-def compute_chamber(
-    state: ChamberState, counter: LPCounter, prune_non_walls: bool = True
-) -> Chamber:
-    table = ClassTable(state)
-    ineqs = generate_inequalities(state, table)
-    return chamber_cone(state, ineqs, counter, prune_non_walls)
+def compute_chamber(state: ChamberState, counter: LPCounter) -> Chamber:
+    return chamber_cone(state, generate_inequalities(state), counter)
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +645,7 @@ def _verify_graph(graph: ChamberGraph):
 # The G-Hilb chamber, with its specialised inequality family
 
 
-def ghilb_chamber(
-    g: GroupSpec, counter: LPCounter | None = None, prune_non_walls: bool = True
-):
+def ghilb_chamber(g: GroupSpec, counter: LPCounter | None = None):
     """The chamber of the G-Hilbert scheme, computed twice: once from the
     generic inequality family and once from the specialised one (curve
     classes, a plain positivity per marked character, quotient inequalities
@@ -687,9 +653,7 @@ def ghilb_chamber(
     counter = counter or LPCounter()
     state = ghilb_state(g)
     table = ClassTable(state)
-    generic = chamber_cone(
-        state, generate_inequalities(state, table), counter, prune_non_walls
-    )
+    generic = chamber_cone(state, generate_inequalities(state, table), counter)
 
     marks = mark_divisors(ghilb_fan(g), g)
     special = []

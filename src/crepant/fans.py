@@ -144,6 +144,22 @@ class Triangulation:
         return tuple(ti for ti, t in enumerate(self.triangles) if v in t)
 
 
+def _integral_pair(p, q, rhs):
+    """Integers (x, y) with x*p + y*q = rhs in Z^3, or None if there are
+    none.  Cramer's rule on the first pair of coordinates where p and q
+    are independent, checked exactly on all three."""
+    for i in range(3):
+        for j in range(i + 1, 3):
+            d = p[i] * q[j] - p[j] * q[i]
+            if d:
+                x, rx = divmod(rhs[i] * q[j] - rhs[j] * q[i], d)
+                y, ry = divmod(p[i] * rhs[j] - p[j] * rhs[i], d)
+                if rx or ry or any(x * a + y * b != c for a, b, c in zip(p, q, rhs)):
+                    return None
+                return x, y
+    return None
+
+
 def edge_relation(t: Triangulation, e: Edge) -> tuple[int, int]:
     """Integers (a, b) with v1 + v2 + a*w1 + b*w2 = 0 in N, in endpoint order.
 
@@ -155,25 +171,10 @@ def edge_relation(t: Triangulation, e: Edge) -> tuple[int, int]:
         raise DegenerateEdgeError(f"edge {e.endpoints} is a boundary edge")
     w1, w2 = (t.vertices[i] for i in e.endpoints)
     v1, v2 = (t.vertices[i] for i in t.opposite_vertices(e))
-    rhs = [-(v1[k] + v2[k]) for k in range(3)]
-    # Solve a*w1 + b*w2 = rhs from two independent rows, then verify.
-    a = b = None
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d = w1[i] * w2[j] - w1[j] * w2[i]
-            if d:
-                a_f = Fraction(rhs[i] * w2[j] - rhs[j] * w2[i], d)
-                b_f = Fraction(w1[i] * rhs[j] - w1[j] * rhs[i], d)
-                a, b = a_f, b_f
-                break
-        if a is not None:
-            break
-    if a is None or a.denominator != 1 or b.denominator != 1:
+    ab = _integral_pair(w1, w2, [-(x + y) for x, y in zip(v1, v2)])
+    if ab is None:
         raise InternalError(f"no integral relation at edge {e.endpoints}")
-    a, b = int(a), int(b)
-    for k in range(3):
-        if v1[k] + v2[k] + a * w1[k] + b * w2[k] != 0:
-            raise InternalError(f"relation check failed at edge {e.endpoints}")
+    a, b = ab
     if a + b != -2:
         raise InternalError(f"edge {e.endpoints} violates crepancy: a+b = {a + b}")
     return a, b
@@ -287,26 +288,10 @@ def star_surface(t: Triangulation, v: int) -> StarSurface:
         u_prev = t.vertices[rays[(i - 1) % n]]
         u_i = t.vertices[rays[i]]
         u_next = t.vertices[rays[(i + 1) % n]]
-        rhs = [-(u_prev[k] + u_next[k]) for k in range(3)]
-        # Solve b*u_i + s*v = rhs.
-        sol = None
-        for p in range(3):
-            for q in range(p + 1, 3):
-                d = u_i[p] * c_v[q] - u_i[q] * c_v[p]
-                if d:
-                    b_f = Fraction(rhs[p] * c_v[q] - rhs[q] * c_v[p], d)
-                    s_f = Fraction(u_i[p] * rhs[q] - u_i[q] * rhs[p], d)
-                    sol = (b_f, s_f)
-                    break
-            if sol:
-                break
-        if sol is None or sol[0].denominator != 1:
+        bs = _integral_pair(u_i, c_v, [-(x + y) for x, y in zip(u_prev, u_next)])
+        if bs is None:
             raise InternalError(f"no integral wall relation at star of {c_v}")
-        b_i = int(sol[0])
-        for k in range(3):
-            if u_prev[k] + u_next[k] + b_i * u_i[k] + sol[1] * c_v[k] != 0:
-                raise InternalError(f"wall relation check failed at star of {c_v}")
-        b.append(b_i)
+        b.append(bs[0])
     # Every edge at an interior vertex is interior, so each consecutive ray
     # pair spans a triangle; sanity-check that.
     for i in range(n):
@@ -476,23 +461,6 @@ class FanGeometry:
                 raise InternalError("odd quadratic correction in chi expansion")
             q_total += q2 // 2
         return ntri - len(inside), q_total - ediv
-
-    def components(self, verts) -> list:
-        """The connected components of a set of compact divisors, each as
-        a sorted vertex tuple."""
-        left = set(verts)
-        out = []
-        while left:
-            stack = [left.pop()]
-            comp = set(stack)
-            while stack:
-                for u in self.neighbours[stack.pop()]:
-                    if u in left:
-                        left.discard(u)
-                        comp.add(u)
-                        stack.append(u)
-            out.append(tuple(sorted(comp)))
-        return out
 
     def edge_degrees(self, row) -> list:
         """Degrees of the bundle with coefficient row on every interior

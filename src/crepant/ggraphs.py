@@ -29,12 +29,6 @@ class GGraph:
 
     gens: tuple[Exponent, ...]  # indexed like group.characters
 
-    def monomials(self):
-        return self.gens
-
-    def generator(self, g: GroupSpec, rho: Character) -> Exponent:
-        return self.gens[g.char_index[rho]]
-
 
 def _validate_ggraph(g: GroupSpec, members: dict[Exponent, int]) -> None:
     if len(members) != g.r:
@@ -145,8 +139,7 @@ def cone_candidate_points(gamma: GGraph, g: GroupSpec):
 class GHilbFan:
     """The G-Hilb triangulation with the G-graph attached to each triangle."""
 
-    def __init__(self, group: GroupSpec, fan: Triangulation, by_triangle: dict):
-        self.group = group
+    def __init__(self, fan: Triangulation, by_triangle: dict):
         self.fan = fan
         self.by_triangle = by_triangle  # triangle index-triple -> GGraph
 
@@ -202,4 +195,4 @@ def ghilb_fan(g: GroupSpec) -> GHilbFan:
     keyed = {}
     for tri_coords, gamma in by_triangle.items():
         keyed[tuple(sorted(coords[c] for c in tri_coords))] = gamma
-    return GHilbFan(g, fan, keyed)
+    return GHilbFan(fan, keyed)

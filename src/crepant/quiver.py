@@ -36,10 +36,6 @@ class SupportGraph:
     arrows: dict  # (char index, coord index) -> bool
     head: dict  # (char index, coord index) -> char index
     mult: dict  # (char index, coord index) -> vanishing order
-    orbit: tuple  # (triangle, vanishing vertex) indices, for provenance
-
-    def present(self, k: int, i: int) -> bool:
-        return self.arrows[(k, i)]
 
 
 def orbit_rep(state, triangle_idx: int, vanishing_vertex: int) -> SupportGraph:
@@ -83,7 +79,7 @@ def orbit_rep(state, triangle_idx: int, vanishing_vertex: int) -> SupportGraph:
                 raise InternalError("universal map has a pole on the chart")
             arrows[(k, i)] = exps[vpos] == 0
             mult[(k, i)] = exps[vpos]
-    graph = SupportGraph(g, arrows, head, mult, (triangle_idx, vanishing_vertex))
+    graph = SupportGraph(g, arrows, head, mult)
     _check_triangle_rule(graph)
     return graph
 

@@ -25,6 +25,7 @@ import pytest
 
 from crepant.bundles import ghilb_taut, rclass_regular, theta_from_nontrivial
 from crepant.chambers import (
+    _facet_normals,
     compute_chamber,
     cross_wall,
     enumerate_chambers,
@@ -34,6 +35,7 @@ from crepant.chambers import (
 from crepant.fans import curve_degrees, flip, flip_reachable_fans
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
+from crepant.intlin import primitive
 from crepant.ktheory import compact_pairing, pairing_table, theta_pairing, twist_class, untwist_class
 from crepant.lp import LPCounter, find_point
 from crepant.quiver import band, check_diamond_cover, is_rigid, orbit_rep, subsheaf_subsets, two_dim_orbits
@@ -80,9 +82,7 @@ def _sub(a, b):
 def test_criterion_01_ghilb_chamber_1_11():
     t0 = time.time()
     g = parse_group("1/11(1,2,8)")
-    # full (unpruned) facet computation: every generated inequality enters
-    # the exact LP elimination
-    chamber = ghilb_chamber(g, prune_non_walls=False)
+    chamber = ghilb_chamber(g)
     f1 = _add(_e(1), _e(3), _e(9))
     f2 = _add(_e(2), _e(3), _e(4), _e(4), _e(7), _e(10))
     f5 = _add(_e(5), _e(7))
@@ -112,6 +112,10 @@ def test_criterion_01_ghilb_chamber_1_11():
     }
     got = {f.normal: f.wall_type for f in chamber.facets}
     assert got == expected
+    # full (unpruned) facet computation: every generated inequality enters
+    # the exact LP elimination
+    full = _facet_normals([primitive(iq.functional()) for iq in chamber.inequalities], LPCounter())
+    assert set(full) == set(expected)
     # f2 itself is redundant
     red = {chamber.inequalities[i].functional() for i in chamber.redundant}
     assert f2 in red
