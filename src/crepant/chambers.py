@@ -19,7 +19,7 @@ tautological update.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from math import lcm
 from operator import add, mul, sub
@@ -302,7 +302,13 @@ class Chamber:
     inequalities: list
     facets: list
     interior_point: tuple
-    redundant: list = field(default_factory=list)
+
+    @property
+    def redundant(self) -> list:
+        """Indices of the inequalities that span no facet: those in no
+        facet's tight set."""
+        tight = set().union(*(f.tight for f in self.facets))
+        return [i for i in range(len(self.inequalities)) if i not in tight]
 
     def facet_by_normal(self, normal):
         for f in self.facets:
@@ -360,9 +366,7 @@ def chamber_cone(state: ChamberState, ineqs, counter: LPCounter) -> Chamber:
     facets = [
         _classify(state, nrm, ineqs, tuple(tight[nrm]), curve_prims) for nrm in normals
     ]
-    normal_set = set(normals)
-    redundant = [i for i in range(len(ineqs)) if prims.get(i) not in normal_set]
-    return Chamber(state, list(ineqs), facets, pt, redundant)
+    return Chamber(state, list(ineqs), facets, pt)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,12 @@ inequalities are assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from .errors import CapError, DegenerateEdgeError, InternalError, InvalidFlipError, UserError
 from .groups import GroupSpec
-from .intlin import det3, integer_kernel, primitive, solve3_int, sub
+from .intlin import det3, primitive, solve3_int
 
 
 @dataclass(frozen=True)
@@ -211,11 +210,12 @@ def line_ratio(t: Triangulation, e: Edge, g: GroupSpec):
     """
     if not e.interior:
         raise DegenerateEdgeError(f"edge {e.endpoints} is a boundary edge")
-    w1, w2 = (t.vertices[i] for i in e.endpoints)
-    kern = integer_kernel([list(w1), list(w2)])
-    if len(kern) != 1:
-        raise InternalError(f"edge {e.endpoints} kernel has rank {len(kern)}")
-    k = primitive(kern[0])
+    # The kernel of two independent vectors of Z^3 is spanned by their
+    # primitive cross product; its sign is fixed by the ordering below.
+    (a0, a1, a2), (b0, b1, b2) = (t.vertices[i] for i in e.endpoints)
+    k = primitive((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+    if not any(k):
+        raise InternalError(f"edge {e.endpoints} has parallel endpoints")
     m = tuple(x * g.char_order(g.weight(k)) for x in k)
     m1 = tuple(max(x, 0) for x in m)
     m2 = tuple(max(-x, 0) for x in m)
@@ -231,35 +231,6 @@ def line_ratio(t: Triangulation, e: Edge, g: GroupSpec):
     if rho != g.weight(m2):
         raise InternalError("ratio sides have different weights")
     return m1, m2, rho
-
-
-def _plane_coords(d):
-    # Linear iso of the plane {sum = 0} onto Z^2, orientation fixed.
-    return (d[0] - d[2], d[1] - d[2])
-
-
-def _angle_key(p):
-    """Exact sort key for ccw angle from the positive x-axis."""
-    x, y = p
-    half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
-    return (half, 0 if y == 0 else 1, Fraction(-x, y) if y else Fraction(0))
-
-
-def _ccw_sorted(points):
-    # points: list of (tag, (x, y)) with pairwise distinct directions
-    return [tag for tag, p in sorted(points, key=lambda tp: _angle_key(tp[1]))]
-
-
-def star_neighbors_cyclic(t: Triangulation, v: int) -> list[int]:
-    """Neighbor vertices of an interior vertex in cyclic (ccw) order."""
-    nbrs = set()
-    for ti in t.triangles_at_vertex(v):
-        for i in t.triangles[ti]:
-            if i != v:
-                nbrs.add(i)
-    c_v = t.vertices[v]
-    tagged = [(i, _plane_coords(sub(t.vertices[i], c_v))) for i in nbrs]
-    return _ccw_sorted(tagged)
 
 
 @dataclass(frozen=True)
@@ -278,29 +249,38 @@ class StarSurface:
 
 
 def star_surface(t: Triangulation, v: int) -> StarSurface:
+    """The star of an interior vertex, its rays read off the triangles at
+    v: the edges opposite v form the link, a cycle, walked from its
+    smallest vertex."""
     if t.vertex_kind[v] != "interior":
         raise UserError(f"vertex {t.vertices[v]} is not interior to the simplex")
-    rays = star_neighbors_cyclic(t, v)
-    n = len(rays)
     c_v = t.vertices[v]
+    link = {}
+    for ti in t.triangles_at_vertex(v):
+        p, q = (i for i in t.triangles[ti] if i != v)
+        link.setdefault(p, []).append(q)
+        link.setdefault(q, []).append(p)
+    if any(len(nbrs) != 2 for nbrs in link.values()):
+        raise InternalError(f"star of {c_v} is not a closed fan")
+    prev = start = min(link)
+    rays = [start]
+    ray = link[start][0]
+    while ray != start:
+        rays.append(ray)
+        p, q = link[ray]
+        prev, ray = ray, (q if p == prev else p)
+    if len(rays) != len(link):
+        raise InternalError(f"star of {c_v} is not a closed fan")
+    n = len(rays)
     b = []
     for i in range(n):
-        u_prev = t.vertices[rays[(i - 1) % n]]
+        u_prev = t.vertices[rays[i - 1]]
         u_i = t.vertices[rays[i]]
         u_next = t.vertices[rays[(i + 1) % n]]
         bs = _integral_pair(u_i, c_v, [-(x + y) for x, y in zip(u_prev, u_next)])
         if bs is None:
             raise InternalError(f"no integral wall relation at star of {c_v}")
         b.append(bs[0])
-    # Every edge at an interior vertex is interior, so each consecutive ray
-    # pair spans a triangle; sanity-check that.
-    for i in range(n):
-        pair = tuple(sorted((rays[i], rays[(i + 1) % n])))
-        found = any(
-            set(pair) | {v} == set(t.triangles[ti]) for ti in t.triangles_at_vertex(v)
-        )
-        if not found:
-            raise InternalError(f"star of {c_v} is not a closed fan")
     return StarSurface(v, tuple(rays), tuple(b))
 
 

@@ -51,6 +51,8 @@ def orbit_rep(state, triangle_idx: int, vanishing_vertex: int) -> SupportGraph:
     g = state.group
     fan = state.fan
     taut = state.taut
+    if not 0 <= triangle_idx < len(fan.triangles):
+        raise UserError(f"triangle index {triangle_idx} out of range (0 to {len(fan.triangles) - 1})")
     tri = fan.triangles[triangle_idx]
     if vanishing_vertex not in tri:
         raise UserError("vanishing vertex must be a ray of the chart's cone")
@@ -153,7 +155,6 @@ def _face_id(graph: SupportGraph, k: int, a: int, b: int):
     """Canonical id of the lattice triangle entered from character k by
     stepping along coordinates a then b; the three corner descriptions are
     identified and the smallest is kept."""
-    g = graph.group
     c = 3 - a - b
     k2 = graph.head[(k, a)]
     k3 = graph.head[(k2, b)]
@@ -229,26 +230,37 @@ def subsheaf_subsets(graph: SupportGraph):
     return out
 
 
-def _connected(graph: SupportGraph, members: set) -> bool:
-    if not members:
-        return False
-    members = set(members)
-    start = next(iter(members))
-    seen = {start}
-    stack = [start]
-    while stack:
-        k = stack.pop()
-        for i in range(3):
-            if graph.arrows[(k, i)]:
-                h = graph.head[(k, i)]
-                if h in members and h not in seen and k in members:
-                    seen.add(h)
-                    stack.append(h)
-        for (k2, i), present in graph.arrows.items():
-            if present and graph.head[(k2, i)] == k and k2 in members and k2 not in seen:
-                seen.add(k2)
-                stack.append(k2)
-    return seen == members
+def _components(nodes, links) -> list:
+    """Connected components of the graph on nodes joined by links (pairs
+    of nodes), in the order of their first node, each in node order."""
+    adj = {n: [] for n in nodes}
+    for a, b in links:
+        adj[a].append(b)
+        adj[b].append(a)
+    root = {}
+    for n in adj:
+        if n not in root:
+            root[n] = n
+            stack = [n]
+            while stack:
+                for m in adj[stack.pop()]:
+                    if m not in root:
+                        root[m] = n
+                        stack.append(m)
+    comps = {}
+    for n in adj:
+        comps.setdefault(root[n], []).append(n)
+    return list(comps.values())
+
+
+def _connected(graph: SupportGraph, members) -> bool:
+    """Is the graph of the surviving arrows among members connected?"""
+    links = [
+        (k, graph.head[(k, i)])
+        for (k, i), present in graph.arrows.items()
+        if present and k in members and graph.head[(k, i)] in members
+    ]
+    return len(_components(members, links)) == 1
 
 
 @dataclass(frozen=True)
@@ -292,12 +304,6 @@ def band(graph: SupportGraph, r1_class) -> tuple[BandDecomposition, int]:
     def diamond_side(d):
         ki = graph.head[(d.k, d.i)]
         kj = graph.head[(d.k, d.j)]
-        cells = [
-            (d.k, d.i),
-            (d.k, d.j),
-            (ki, d.j),
-            (kj, d.i),
-        ]
         vs_all = {d.k, ki, kj, graph.head[(ki, d.j)]}
         if vs_all <= members:
             return "sub"
@@ -324,28 +330,13 @@ def band(graph: SupportGraph, r1_class) -> tuple[BandDecomposition, int]:
         for cell in ((d.k, d.i), (d.k, d.j), (ki, d.j), (kj, d.i)):
             if cell not in sub_arrows and cell not in quot_arrows:
                 arrow_faces.setdefault(cell, []).append(d)
-    parent = {id(d): d for d in band_d}
-
-    def find(d):
-        while parent[id(d)] is not d:
-            parent[id(d)] = parent[id(parent[id(d)])]
-            d = parent[id(d)]
-        return d
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra is not rb:
-            parent[id(ra)] = rb
-
+    links = []
     for cell, faces in arrow_faces.items():
         if len(faces) > 2:
             raise InternalError("an arrow borders more than two diamonds")
         if len(faces) == 2:
-            union(faces[0], faces[1])
-    comps: dict = {}
-    for d in band_d:
-        comps.setdefault(id(find(d)), []).append(d)
-    components = tuple(tuple(v) for v in comps.values())
+            links.append(faces)
+    components = tuple(map(tuple, _components(band_d, links)))
     ext1 = len(components)
     if ext1 > 2:
         raise InternalError(f"band has {ext1} components; the bound is 2")

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .fans import line_ratio
+from .fans import line_ratio, star_surface
 from .ggraphs import GHilbFan, socle
 from .groups import Character, GroupSpec
+from .intlin import primitive, sub
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,8 @@ def marking(gh: GHilbFan, g: GroupSpec) -> Marking:
 def is_del_pezzo6_vertex(gh: GHilbFan, v: int) -> bool:
     """A vertex is del Pezzo-6 when six triangles surround it and the six
     neighbor directions pair up into three straight lines through it."""
-    from .fans import star_neighbors_cyclic
-    from .intlin import primitive, sub
-
     fan = gh.fan
-    rays = star_neighbors_cyclic(fan, v)
+    rays = star_surface(fan, v).rays
     if len(rays) != 6:
         return False
     c_v = fan.vertices[v]

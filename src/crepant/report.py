@@ -13,12 +13,14 @@ import base64
 import json
 import zlib
 from fractions import Fraction
+from functools import cache
 
 from .bundles import TautBundle
 from .chambers import Chamber, ChamberState
 from .errors import UserError
 from .fans import Triangulation, curve_degrees, line_ratio
 from .groups import GroupSpec, parse_group
+from .intlin import primitive
 
 SCHEMA = "crepant-report/1"
 
@@ -42,26 +44,25 @@ def char_label(rho) -> str:
     return "(" + ",".join(str(i) for i in rho.index) + ")"
 
 
+@cache
+def _theta_names(g: GroupSpec) -> tuple:
+    """The name th<label> of each nontrivial character, built once per
+    group (groups are interned and hash by identity)."""
+    return tuple("th" + char_label(rho) for rho in g.characters[1:])
+
+
 def theta_string(g: GroupSpec, functional) -> str:
     """Render a functional over nontrivial characters as 'a*th_i + ... > 0'."""
-    parts = []
-    for coeff, rho in zip(functional, g.characters[1:]):
+    lhs = ""
+    for coeff, name in zip(functional, _theta_names(g)):
         if coeff == 0:
             continue
-        name = "th" + char_label(rho)
-        if coeff == 1:
-            term = name
-        elif coeff == -1:
-            term = "-" + name
+        term = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
+        if lhs:
+            lhs += (" - " if coeff < 0 else " + ") + term
         else:
-            term = f"{coeff}*{name}"
-        parts.append(term)
-    lhs = "0"
-    if parts:
-        lhs = parts[0]
-        for p in parts[1:]:
-            lhs += (" + " + p) if not p.startswith("-") else (" - " + p[1:])
-    return lhs + " > 0"
+            lhs = ("-" if coeff < 0 else "") + term
+    return (lhs or "0") + " > 0"
 
 
 def group_report(g: GroupSpec) -> dict:
@@ -190,8 +191,6 @@ def curve_labels(state: ChamberState) -> dict:
         func = tuple(cc[i] - cc[0] for i in range(1, len(cc)))
         if not any(func):
             continue
-        from .intlin import primitive
-
         _, _, rho = line_ratio(state.fan, e, g)
         out.setdefault(primitive(func), f"f{char_label(rho)}")
     return out

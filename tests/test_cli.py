@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -63,6 +64,32 @@ def test_determinism_byte_identical():
     c = run_cli("enumerate", "1/3(1,1,1)").stdout
     d = run_cli("enumerate", "1/3(1,1,1)").stdout
     assert c == d
+
+
+# sha256 of the stdout of each command, pinned so a report's bytes cannot
+# drift between commits.  quiver --split 0,1 is left out for the
+# two-factor group, where that split is not simple and the command exits 1.
+REPORT_DIGESTS = {
+    ("1/6(1,2,3)", "chamber"): "68269f9bfb6a3668f20ee6abbcb6809a2849f08db54c7d1470f65f16b55ba2bb",
+    ("1/6(1,2,3)", "ghilb"): "6af0cec105b8487bb7d70c738e531a2cfec32a1ceb1c4e853301d4cddd1de1fd",
+    ("1/6(1,2,3)", "cross --facet 0"): "d341b4248d7f6f3880c3e01cd33015c86fd626c46cf5bb4512b66eb759039cdb",
+    ("1/6(1,2,3)", "quiver --split 0,1"): "79c750edea96bccef5f0ce70e6d97deff5e50802209f48232fd513c18d102ea1",
+    ("1/11(1,2,8)", "chamber"): "8ded904441c5023ce1a9daf59a4be907759fbe522a5c0f20556393803a01222e",
+    ("1/11(1,2,8)", "ghilb"): "268e7563f8b69c733baab14e87bf2c3d28fe8fe727bbb97bdba72795d6cc0cb6",
+    ("1/11(1,2,8)", "cross --facet 0"): "a06a657ecb78a1d007ccb8b76249cda83b4f584805f397506a41335ad93ad1ed",
+    ("1/11(1,2,8)", "quiver --split 0,1"): "7f3f3a260b6f73dd5b697623143f33c578e2d4e6c2434e8f7b4a3252fa3e3262",
+    ("1/6(1,1,4)+1/2(1,0,1)", "chamber"): "194d667c1b6530b4a5b9975152aca19b58df2d64c09cc35d6f5492123f06647d",
+    ("1/6(1,1,4)+1/2(1,0,1)", "ghilb"): "bf44df8480a137a33b12a5f1523fc1a6636e32461dad62ef02b0e54b1a0cba57",
+    ("1/6(1,1,4)+1/2(1,0,1)", "cross --facet 0"): "3da87263c40f1d3a2e9c7ae69afee9389aa99a082e519b89f92f27b7a48b2fff",
+}
+
+
+@pytest.mark.parametrize("spec,command", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(spec, command):
+    name, *options = command.split()
+    p = run_cli(name, spec, *options)
+    assert p.returncode == 0, p.stderr
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == REPORT_DIGESTS[spec, command]
 
 
 def test_enumerate_command():
@@ -201,6 +228,16 @@ def test_quiver_command():
     p2 = run_cli("quiver", "1/6(1,2,3)", "--split", "0,1,3")
     rep2 = json.loads(p2.stdout)
     assert rep2["split"]["ext1_dim"] == 2
+
+
+@pytest.mark.parametrize("orbit", ["--orbit=99,0", "--orbit=-1,5"])
+def test_quiver_rejects_triangle_index_out_of_range(orbit):
+    # A negative index must not select a triangle from the end.
+    p = run_cli("quiver", "1/6(1,2,3)", orbit)
+    assert p.returncode == 1
+    assert p.stderr.startswith("error:") and "out of range" in p.stderr
+    assert "Traceback" not in p.stderr
+    assert p.stdout == ""
 
 
 def test_svg_labels(tmp_path):

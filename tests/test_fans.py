@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from crepant.errors import DegenerateEdgeError, InvalidFlipError
@@ -11,6 +14,10 @@ from crepant.fans import (
 )
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import sweep_groups  # noqa: E402
 
 GROUPS = ["1/2(1,0,1)", "1/3(1,1,1)", "1/6(1,2,3)", "1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]
 
@@ -136,22 +143,36 @@ def test_star_surface_f4_on_1_11():
 
 
 def test_star_wall_relation_exact():
-    for spec in ["1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]:
-        g, fan = fan_of(spec)
+    # The defining property of a star, on every interior vertex of every
+    # fan in the flip closures: consecutive rays span a triangle with the
+    # center, the rays are exactly its neighbours, and u_prev + u_next +
+    # b_i u_i is an integer multiple of the center.
+    closures = [
+        (spec, fan)
+        for spec in sweep_groups() + ["1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]
+        for _, fan in sorted(flip_reachable_fans(fan_of(spec)[1]).items())
+    ]
+    stars = 0
+    for spec, fan in closures:
+        triangles = set(fan.triangles)
         for v in fan.interior_vertices():
             s = star_surface(fan, v)
             n = len(s.rays)
+            nbrs = {i for ti in fan.triangles_at_vertex(v) for i in fan.triangles[ti]} - {v}
+            assert len(set(s.rays)) == n and set(s.rays) == nbrs, (spec, v)
+            c_v = fan.vertices[v]
+            k = next(k for k in range(3) if c_v[k])
             for i in range(n):
-                u_prev = fan.vertices[s.rays[(i - 1) % n]]
+                pair = (s.rays[i - 1], s.rays[i])
+                assert tuple(sorted((v,) + pair)) in triangles, (spec, v, pair)
+                u_prev = fan.vertices[s.rays[i - 1]]
                 u_i = fan.vertices[s.rays[i]]
                 u_next = fan.vertices[s.rays[(i + 1) % n]]
-                c_v = fan.vertices[v]
-                combo = [
-                    u_prev[k] + u_next[k] + s.selfint[i] * u_i[k] for k in range(3)
-                ]
-                # must be an exact rational multiple of the center
-                assert combo[0] * c_v[1] == combo[1] * c_v[0]
-                assert combo[0] * c_v[2] == combo[2] * c_v[0]
+                combo = [u_prev[j] + u_next[j] + s.selfint[i] * u_i[j] for j in range(3)]
+                m, rem = divmod(combo[k], c_v[k])
+                assert rem == 0 and combo == [m * x for x in c_v], (spec, v, i)
+            stars += 1
+    assert stars == 395  # interior vertices over all the closures' fans
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ so the inequality it defines holds on the whole chamber.
 
 The metamorphic tests rename the same group: permuting the coordinates,
 or changing the generator (weights times a unit mod r), must give the
-same chamber graph up to isomorphism.
+same chamber graph up to isomorphism.  The property tests walk random
+crossings from G-Hilb: a state token replays its state, and crossing back
+over the negated facet undoes a crossing.
 """
 
 import itertools
@@ -19,6 +21,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crepant.chambers import (
     compute_chamber,
@@ -30,6 +34,7 @@ from crepant.chambers import (
 from crepant.groups import parse_group
 from crepant.intlin import primitive
 from crepant.lp import LPCounter, cone_membership
+from crepant.report import state_from_token, state_token
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -115,3 +120,36 @@ def test_renaming_the_group_keeps_the_graph(r, weights, k, renamed_lp):
     renamed = tuple(k * w % r for w in weights)
     assert sorted(renamed) != sorted(weights)
     assert graph_summary(spec(renamed)) == (chambers, fans, types, renamed_lp)
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def sorted_facets(state):
+    return sorted(compute_chamber(state, LPCounter()).facets, key=lambda f: f.normal)
+
+
+@st.composite
+def crossing_walks(draw):
+    """A sweep group and up to three facet choices, each taken modulo the
+    facet count of the chamber reached so far."""
+    spec = draw(st.sampled_from(sweep_groups()))
+    return spec, draw(st.lists(st.integers(0, 63), max_size=3))
+
+
+@PROPERTY
+@given(crossing_walks())
+def test_random_walks_replay_tokens_and_undo_crossings(walk):
+    spec, picks = walk
+    state = ghilb_state(parse_group(spec))
+    for pick in [None] + picks:
+        if pick is not None:
+            facets = sorted_facets(state)
+            state = cross_wall(state, facets[pick % len(facets)])
+        assert state_from_token(state_token(state)).key == state.key
+        for f in sorted_facets(state):
+            nstate = cross_wall(state, f)
+            negated = tuple(-x for x in f.normal)
+            back = next(b for b in sorted_facets(nstate) if b.normal == negated)
+            assert back.wall_type == f.wall_type
+            assert cross_wall(nstate, back).key == state.key

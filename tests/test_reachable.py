@@ -6,6 +6,9 @@ mentions it, as a plain name, an attribute or an imported name, other than
 in its own definition.  The match is by bare name, so a name shared by two
 definitions covers both; the guard catches code that nothing mentions at
 all, which is what a refactor leaves behind.
+
+Every name a library module imports is also used in that module, unless
+the module re-exports it through __all__.
 """
 
 import ast
@@ -66,3 +69,34 @@ def test_every_library_name_is_reached():
     assert sorted(unreached - ALLOWED.keys()) == []
     # An allowlisted name that is now reached, or gone, leaves the list.
     assert ALLOWED.keys() <= unreached
+
+
+def imported_names(tree):
+    """Names bound by a module's imports, __future__ features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+
+
+def exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_library_import_is_used():
+    unused = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.stem}.{name}"
+            for name in set(imported_names(tree)) - used - exported_names(tree)
+        ]
+    assert sorted(unused) == []

@@ -1,7 +1,7 @@
 import pytest
 
 from crepant.bundles import ghilb_taut
-from crepant.fans import curve_degrees
+from crepant.fans import curve_degrees, star_surface
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
 from crepant.recipe import check_partition, is_del_pezzo6_vertex, mark_divisors, mark_lines, marking
@@ -115,13 +115,11 @@ def test_del_pezzo6_pair_relation(spec):
     gh = ghilb_fan(g)
     m = marking(gh, g)
     lines = m.line_marks
-    from crepant.fans import star_neighbors_cyclic
-
     for v, marks in m.divisor_marks.items():
         if len(marks) != 2:
             continue
         assert is_del_pezzo6_vertex(gh, v)
-        rays = star_neighbors_cyclic(gh.fan, v)
+        rays = star_surface(gh.fan, v).rays
         chars = []
         for i in range(3):
             e = gh.fan.edge(v, rays[i])
