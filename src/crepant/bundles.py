@@ -6,14 +6,14 @@ coefficients, one row per character and reduced modulo the principal
 (invariant-exponent) rows to a canonical form by the group's
 principal_reducer, are the whole state of a tautological bundle: they are
 its key and its token format, and wall crossings update them directly
-(divisor twists add r on the divisor's rays; flops keep them).  Everything
-else is derived: the chart generator on a triangle is the Laurent exponent
-pairing to minus the coefficients of its three vertices, solved on demand
-and checked for integrality and character; degrees and star-surface
-restrictions are per-fan linear maps of the coefficients (the fan's
-geometry, a fans.FanGeometry).  The tautological bundle T_rho of the
-G-Hilbert scheme starts from its chart generators, the G-graph monomials
-of weight rho.
+(a divisor twist adds a multiple of r on the divisor's rays; flops keep
+them).  Everything else is derived: the chart generator on a triangle is
+the Laurent exponent pairing to minus the coefficients of its three
+vertices, solved on demand and checked for integrality and character;
+degrees and star-surface restrictions are per-fan linear maps of the
+coefficients (the fan's geometry, a fans.FanGeometry).  The tautological
+bundle T_rho of the G-Hilbert scheme starts from its chart generators, the
+G-graph monomials of weight rho.
 
 Euler characteristics on star surfaces (integer Riemann-Roch on this data)
 and the R(G)-valued classes of restricted bundles are assembled in
@@ -171,60 +171,21 @@ class TautBundle:
 
     # -- wall-crossing updates ----------------------------------------------
 
-    def twist_by_divisor(self, vertices, r2_chars) -> "TautBundle":
-        """Type-0 update: R1/R2 partition the characters; the side away
-        from the trivial character is twisted by the unstable divisor.
+    def twist(self, vertices, mult) -> "TautBundle":
+        """Type-0 and type-III update: the k-th bundle becomes T_k(mult[k] D)
+        for D the reduced divisor of the vertices (mult[0] = 0 keeps the
+        trivial bundle trivial).
 
-        With the trivial character on the sub side R1, bundles of R2 become
-        T(-D); with it on the quotient side R2, bundles of R1 become T(D).
-        """
-        g = self.group
-        r2 = frozenset(r2_chars)
-        if r2 - set(g.characters):
-            raise PreconditionError("R2 contains unknown characters")
-        r1 = frozenset(g.characters) - r2
-        if g.trivial in r2:
-            twisted, sign = r1, +1
-        else:
-            twisted, sign = r2, -1
-        return self._twist(vertices, twisted, sign)
-
-    def _twist(self, vertices, twisted_chars, sign) -> "TautBundle":
-        # O(D) for D the reduced divisor of the vertices has r-scaled
-        # coefficient r on them and 0 elsewhere.  Twisting by it keeps every
-        # chart integral and of its character, so charts are not re-solved.
+        O(D) has r-scaled coefficient r on the vertices and 0 elsewhere.
+        Twisting by it keeps every chart integral and of its character, so
+        charts are not re-solved."""
         vertices = frozenset(vertices)
-        step = sign * self.group.r
+        r = self.group.r
         coeffs = [
-            [c + step if w in vertices else c for w, c in enumerate(row)]
-            if rho in twisted_chars
-            else row
-            for rho, row in zip(self.group.characters, self.coeffs)
+            [c + m * r if w in vertices else c for w, c in enumerate(row)] if m else row
+            for row, m in zip(self.coeffs, mult, strict=True)
         ]
         return TautBundle(self.group, self.fan, coeffs)
-
-    def typeIII_twist(self, divisor_vertex: int, fiber_edges) -> "TautBundle":
-        """Type-III update: twist by the swept divisor according to the
-        fiber degrees, which must all lie in {0,1} or all in {0,-1}."""
-        g = self.group
-        geo = self.fan.geometry
-        degs = {}
-        for rho, row in zip(g.characters, self.coeffs):
-            vals = {geo.edge_degree(e, row) for e in fiber_edges}
-            if len(vals) != 1:
-                raise InternalError("fiber degrees disagree on homologous fibers")
-            degs[rho] = vals.pop()
-        values = set(degs.values())
-        if values <= {0, 1}:
-            sign = +1
-        elif values <= {0, -1}:
-            sign = -1
-        else:
-            raise PreconditionError(
-                f"fiber degrees {sorted(values)} not within {{0,1}} or {{0,-1}}"
-            )
-        twisted = {rho for rho, d in degs.items() if d == sign}
-        return self._twist([divisor_vertex], twisted, sign)
 
     def proper_transform(self, new_fan: Triangulation) -> "TautBundle":
         """Type-I update: ray coefficients are unchanged by a flop, and

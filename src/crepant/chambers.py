@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fans import Triangulation, flip
 from .ggraphs import ghilb_fan
-from .groups import Character, GroupSpec
+from .groups import GroupSpec
 from .intlin import primitive
 from .lp import LPCounter, cone_membership, find_point
 from .recipe import mark_divisors
@@ -120,8 +120,8 @@ class ClassTable:
         geo = state.fan.geometry
         self.geo = geo
         self.edges = geo.edges
-        self.edge_deg = [geo.edge_degrees(row) for row in taut.coeffs]
-        self._edge_cols = list(zip(*self.edge_deg))
+        # Per compact curve, the degrees of every character's bundle on it.
+        self.edge_cols = list(zip(*(geo.edge_degrees(row) for row in taut.coeffs)))
         star_coeffs = {
             v: [geo.restrict_to_star(v, row) for row in taut.coeffs]
             for v in geo.interior
@@ -152,9 +152,6 @@ class ClassTable:
                 row = self._edge_twist[ei]
                 self._edge_twist[ei] = [x + sum(map(mul, c, ops[u])) for x, c in zip(row, cs)]
 
-    def curve_class(self, e_idx: int):
-        return tuple(self.edge_deg[k][e_idx] + 1 for k in range(self.state.group.r))
-
     def subset_classes(self, krs=None):
         """Per connected divisor set, in the fan's geometry.subsets order:
         (verts, sub classes, quot classes), the classes listed for the
@@ -162,7 +159,7 @@ class ClassTable:
         r = self.state.group.r
         krs = range(r) if krs is None else krs
         chi = self._chi
-        edge_cols = self._edge_cols
+        edge_cols = self.edge_cols
         edge_twist = self._edge_twist
         sums = []  # per subset: (chi rows for krs, edge-degree sums, twist sums)
         for verts, parent, v, joins, c_sub, c_quot in self.geo.subsets:
@@ -198,12 +195,13 @@ def generate_inequalities(state: ChamberState, table: ClassTable | None = None):
     """The defining inequality family of a state, before redundancy work:
     one per compact curve and two per character and connected divisor
     set (a disconnected set's classes are sums of its components', so its
-    inequalities are implied)."""
+    inequalities are implied).  A curve's class is 1 plus the degree of
+    each character's bundle on it."""
     table = table or ClassTable(state)
     chars = state.group.characters
     out = [
-        Inequality(table.curve_class(i), ">", ("curve", e.endpoints))
-        for i, e in enumerate(table.edges)
+        Inequality(tuple(d + 1 for d in col), ">", ("curve", e.endpoints))
+        for e, col in zip(table.edges, table.edge_cols)
     ]
     append = out.append
     for verts, subs, quots in table.subset_classes():
@@ -358,14 +356,8 @@ def chamber_cone(state: ChamberState, ineqs, counter: LPCounter) -> Chamber:
             raise InternalError(
                 f"inequality from {iq.source} violated at the interior point"
             )
-    curve_prims = [
-        (state.fan.edge_map[ineqs[i].source[1]], p)
-        for i, p in prims.items()
-        if ineqs[i].source[0] == "curve"
-    ]
-    facets = [
-        _classify(state, nrm, ineqs, tuple(tight[nrm]), curve_prims) for nrm in normals
-    ]
+    curves = {iq.source[1]: iq.raw for iq in ineqs if iq.source[0] == "curve"}
+    facets = [_classify(state, nrm, ineqs, tuple(tight[nrm]), curves) for nrm in normals]
     return Chamber(state, list(ineqs), facets, pt)
 
 
@@ -373,21 +365,27 @@ def chamber_cone(state: ChamberState, ineqs, counter: LPCounter) -> Chamber:
 # Wall classification
 
 
-def _classify(state: ChamberState, normal, ineqs, tight, curve_prims) -> Facet:
-    """Classify the wall spanned by a facet via its contracted curves."""
+def _classify(state: ChamberState, normal, ineqs, tight, curves) -> Facet:
+    """Classify the wall spanned by a facet via its contracted curves, the
+    curve inequalities in its tight set.  curves maps the endpoints of
+    each compact curve to its class."""
     fan = state.fan
-    g = state.group
-    contracted = [e for e, p in curve_prims if p == normal]
+    contracted = [
+        fan.edge_map[ineqs[i].source[1]] for i in tight if ineqs[i].source[0] == "curve"
+    ]
     if not contracted:
-        r1, r2 = _splitting_from_normal(g, normal)
-        divisor = _unstable_divisor(state, normal, ineqs, tight, r1, r2)
+        sub = _splitting_from_normal(normal)
+        chars = [c.index for c in state.group.characters]
         return Facet(
             normal,
             "0",
             tight,
             (),
-            splitting=(tuple(sorted(c.index for c in r1)), tuple(sorted(c.index for c in r2))),
-            divisor=divisor,
+            splitting=(
+                tuple(c for c, x in zip(chars, sub) if x),
+                tuple(c for c, x in zip(chars, sub) if not x),
+            ),
+            divisor=_unstable_divisor(state, ineqs, tight, sub, curves),
         )
     fiber_edges = []
     flop_edges = []
@@ -419,6 +417,12 @@ def _classify(state: ChamberState, normal, ineqs, tight, curve_prims) -> Facet:
             raise InternalError(
                 f"wall sweeps {len(swept)} divisors; expected exactly one"
             )
+        # Crossing twists each bundle by its degree on the fibers, which is
+        # (0, normal) when every fiber's class is 1 + (0, normal): degrees
+        # equal on all fibers, and all in {0,1} or all in {0,-1}.
+        fiber_class = tuple(1 + x for x in (0,) + normal)
+        if any(curves[e.endpoints] != fiber_class for e in fiber_edges):
+            raise InternalError(f"fiber degrees are not the facet normal {normal}")
         return Facet(
             normal,
             "III",
@@ -435,8 +439,9 @@ def _classify(state: ChamberState, normal, ineqs, tight, curve_prims) -> Facet:
     return Facet(normal, "I", tight, tuple(e.endpoints for e in flop_edges))
 
 
-def _splitting_from_normal(g: GroupSpec, normal):
-    """Recover the sub/quotient character split from a type-0 facet normal.
+def _splitting_from_normal(normal):
+    """The 0/1 indicator of the sub characters R1 of a type-0 wall, read
+    off its normal.
 
     The normal, as a class with zero coefficient at the trivial character,
     is the indicator of R1 (trivial character outside R1) or minus the
@@ -444,51 +449,38 @@ def _splitting_from_normal(g: GroupSpec, normal):
     cls = (0,) + tuple(normal)
     values = set(cls)
     if values <= {0, 1}:
-        r1 = frozenset(c for c, x in zip(g.characters, cls) if x == 1)
-        r2 = frozenset(g.characters) - r1
+        sub = cls
     elif values <= {-1, 0}:
-        r2 = frozenset(c for c, x in zip(g.characters, cls) if x == -1)
-        r1 = frozenset(g.characters) - r2
+        sub = tuple(x + 1 for x in cls)
     else:
         raise AmbiguousSplittingError(
             f"type-0 facet normal {normal} is not a 0/1 class up to complement"
         )
-    if not r1 or not r2:
+    if all(sub) or not any(sub):
         raise AmbiguousSplittingError("degenerate character split at a type-0 wall")
-    return r1, r2
+    return sub
 
 
-def _tautbundles_agree_on(state: ChamberState, chars, verts) -> bool:
-    """Do the bundles of the given characters restrict isomorphically to
-    every component of the divisor of the given vertices?  Tested via
-    degrees on all torus curves at each component (faithful on Pic)."""
-    geo = state.fan.geometry
-    at = dict.fromkeys(e for v in verts for e in geo.edges_at[v])
-    index = state.group.char_index
-    restricted = {
-        tuple(geo.edge_degree(e, state.taut.coeffs[index[c]]) for e in at) for c in chars
-    }
-    return len(restricted) == 1
-
-
-def _unstable_divisor(state, normal, ineqs, tight, r1, r2):
+def _unstable_divisor(state, ineqs, tight, sub, curves):
     """Recover the unstable divisor of a type-0 wall from tight divisor
-    inequalities whose class is exactly the sub/quotient indicator."""
-    g = state.group
-    ind_r1 = tuple(1 if c in r1 else 0 for c in g.characters)
-    ind_r2 = tuple(1 if c in r2 else 0 for c in g.characters)
+    inequalities whose class is exactly the sub/quotient indicator and on
+    whose divisor that side's bundles restrict isomorphically: equal
+    degrees on every compact curve at it (faithful on Pic)."""
+    quot = tuple(1 - x for x in sub)
     candidates = set()
     for i in tight:
         iq = ineqs[i]
         kind = iq.source[0]
-        if kind == "sub" and iq.raw == ind_r1:
-            candidates.add(("sub", iq.source[2]))
-        elif kind == "quot" and iq.raw == ind_r2:
-            candidates.add(("quot", iq.source[2]))
+        if kind == "sub" and iq.raw == sub:
+            candidates.add((sub, iq.source[2]))
+        elif kind == "quot" and iq.raw == quot:
+            candidates.add((quot, iq.source[2]))
+    edges_at = state.fan.geometry.edges_at
     valid = set()
-    for kind, verts in candidates:
-        side = r1 if kind == "sub" else r2
-        if _tautbundles_agree_on(state, side, verts):
+    for side, verts in candidates:
+        classes = [curves[e.endpoints] for v in verts for e in edges_at[v]]
+        restricted = {tuple(c[k] for c in classes) for k, x in enumerate(side) if x}
+        if len(restricted) == 1:
             valid.add(verts)
     if len(valid) != 1:
         raise AmbiguousSplittingError(
@@ -502,21 +494,22 @@ def _unstable_divisor(state, normal, ineqs, tight, r1, r2):
 
 
 def cross_wall(state: ChamberState, facet: Facet) -> ChamberState:
-    """The adjacent state across a classified facet."""
+    """The adjacent state across a classified facet: a flop's proper
+    transform (type I), or a twist of the k-th bundle by the k-th
+    coefficient of (0, normal) times the unstable or swept divisor.  At a
+    type-0 wall that twists R1 by +D when the trivial character is in R2,
+    and R2 by -D when it is in R1; at a type-III wall it twists each
+    bundle by its fiber degree."""
     g = state.group
-    if facet.wall_type == "0":
-        r2 = frozenset(Character(i) for i in facet.splitting[1])
-        taut = state.taut.twist_by_divisor(facet.divisor, r2)
-        return ChamberState(g, state.fan, taut)
     if facet.wall_type == "I":
         fan = state.fan
         for endpoints in facet.contracted:
             fan = flip(fan, fan.edge(*endpoints))
         taut = state.taut.proper_transform(fan)
         return ChamberState(g, fan, taut)
-    if facet.wall_type == "III":
-        fiber_edges = [state.fan.edge(*ep) for ep in facet.contracted]
-        taut = state.taut.typeIII_twist(facet.swept, fiber_edges)
+    if facet.wall_type in ("0", "III"):
+        divisor = facet.divisor if facet.wall_type == "0" else (facet.swept,)
+        taut = state.taut.twist(divisor, (0,) + facet.normal)
         return ChamberState(g, state.fan, taut)
     raise InternalError(f"unknown wall type {facet.wall_type}")
 
@@ -660,9 +653,7 @@ def ghilb_chamber(g: GroupSpec, counter: LPCounter | None = None):
     generic = chamber_cone(state, generate_inequalities(state, table), counter)
 
     marks = mark_divisors(ghilb_fan(g), g)
-    special = []
-    for i, e in enumerate(table.edges):
-        special.append(Inequality(table.curve_class(i), ">", ("curve", e.endpoints)))
+    special = [iq for iq in generic.inequalities if iq.source[0] == "curve"]
     for v, chars in sorted(marks.items()):
         for rho in sorted(chars, key=lambda c: c.index):
             cls = tuple(1 if c == rho else 0 for c in g.characters)

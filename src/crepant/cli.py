@@ -62,18 +62,28 @@ def _build_parser():
     return p
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as ex:
+        raise UserError(f"cannot write {path}: {ex.strerror}") from None
+
+
 def _emit(rep: dict, args) -> None:
     text = report.dumps(rep)
-    sys.stdout.write(text)
     if getattr(args, "json", None):
-        with open(args.json, "w") as fh:
-            fh.write(text)
+        _write(args.json, text)
+    sys.stdout.write(text)
 
 
 def _state(args):
-    if getattr(args, "seed_state", None):
-        return report.state_from_token(args.seed_state)
     g = parse_group(args.group)
+    if getattr(args, "seed_state", None):
+        state = report.state_from_token(args.seed_state)
+        if state.group is not g:
+            raise UserError(f"the state token is a state of {state.group}, not of {g}")
+        return state
     return chambers.ghilb_state(g)
 
 
@@ -93,8 +103,7 @@ def cmd_ghilb(args):
         "state_token": report.state_token(state),
     }
     if getattr(args, "svg", None):
-        with open(args.svg, "w") as fh:
-            fh.write(triangulation_svg(gh.fan, g, m, title=f"G-Hilb fan of {g}"))
+        _write(args.svg, triangulation_svg(gh.fan, g, m, title=f"G-Hilb fan of {g}"))
         rep["svg"] = args.svg
     _emit(rep, args)
 
@@ -111,8 +120,7 @@ def cmd_markings(args):
         "markings": report.marking_report(m),
     }
     if getattr(args, "svg", None):
-        with open(args.svg, "w") as fh:
-            fh.write(triangulation_svg(gh.fan, g, m, title=f"Reid's recipe for {g}"))
+        _write(args.svg, triangulation_svg(gh.fan, g, m, title=f"Reid's recipe for {g}"))
         rep["svg"] = args.svg
     _emit(rep, args)
 
@@ -157,6 +165,9 @@ def cmd_cross(args):
 
 
 def cmd_enumerate(args):
+    for cap in ("max_chambers", "max_lp", "max_fans"):
+        if getattr(args, cap) < 0:
+            raise UserError(f"--{cap.replace('_', '-')} must not be negative")
     g = parse_group(args.group)
     graph = chambers.enumerate_chambers(
         g, max_chambers=args.max_chambers, max_lp=args.max_lp
@@ -225,6 +236,8 @@ def cmd_quiver(args):
             quot = {int(x) for x in args.split.split(",")}
         except ValueError:
             raise UserError("--split expects comma-separated character indices") from None
+        if not quot <= set(range(g.r)):
+            raise UserError(f"--split indices must lie in 0..{g.r - 1}")
         r1 = tuple(0 if k in quot else 1 for k in range(g.r))
         if not any(r1) or all(r1):
             raise UserError("--split must be a proper nonempty character subset")
@@ -238,8 +251,7 @@ def cmd_quiver(args):
             rep["split"]["quotient_rigid"] = qv.is_rigid(graph, r1, "quot")
             rep["split"]["subsheaf_rigid"] = qv.is_rigid(graph, r1, "sub")
     if getattr(args, "svg", None):
-        with open(args.svg, "w") as fh:
-            fh.write(quiver_svg(graph, band_dec))
+        _write(args.svg, quiver_svg(graph, band_dec))
         rep["svg"] = args.svg
     _emit(rep, args)
 

@@ -5,7 +5,7 @@ import pytest
 
 from crepant.bundles import TautBundle, ghilb_taut, theta_from_nontrivial
 from crepant.chambers import ChamberState, ClassTable, compute_chamber, cross_wall, ghilb_state
-from crepant.errors import InternalError, PreconditionError, UserError
+from crepant.errors import InternalError, UserError
 from crepant.fans import flip, star_surface
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, invariant_lattice_basis, parse_group
@@ -320,20 +320,18 @@ def test_fan_geometry_maps_match_chart_reference():
                     assert geo.div_star_coeffs[v][u] == ref_star_restriction(fan, dv, star)
 
 
-def test_twist_by_divisor_identity_and_inverse():
+def test_twist_identity_and_inverse():
     g, gh, taut = setup("1/3(1,1,1)")
     c = gh.fan.vindex[(1, 1, 1)]
-    # an empty side twists nothing
-    assert taut.twist_by_divisor([c], []).key == taut.key
-    assert taut.twist_by_divisor([c], list(g.characters)).key == taut.key
-    with pytest.raises(PreconditionError):
-        taut.twist_by_divisor([c], [Character((5,))])
-    r2 = [ch for ch in g.characters if ch != Character((2,))]
-    t2 = taut.twist_by_divisor([c], r2)
+    # a zero multiplier twists nothing
+    assert taut.twist([c], (0, 0, 0)).key == taut.key
+    # the multiplier has one entry per character
+    with pytest.raises(ValueError):
+        taut.twist([c], (0, 1))
+    t2 = taut.twist([c], (0, 0, 1))
     e = gh.fan.interior_edges[0]
     assert [t2.degree(rho, e) for rho in g.characters] == [0, 1, -1]
-    back = t2._twist([c], {Character((2,))}, -1)
-    assert back.key == taut.key
+    assert t2.twist([c], (0, 0, -1)).key == taut.key
 
 
 def test_proper_transform_negates_flopped_degrees():
@@ -350,15 +348,18 @@ def test_proper_transform_negates_flopped_degrees():
     assert t2.coeffs == taut.coeffs
 
 
-def test_typeIII_twist_roundtrip_1_2():
+def test_fiber_twist_roundtrip_1_2():
+    # Crossing the type-III wall twists each bundle by its degree on the
+    # fiber times the swept divisor; the negated twist undoes it.
     g, gh, taut = setup("1/2(1,0,1)")
     fan = gh.fan
     (e,) = fan.interior_edges
     w = fan.vindex[(1, 0, 1)]
-    t2 = taut.typeIII_twist(w, [e])
+    degrees = tuple(taut.degree(rho, e) for rho in g.characters)
+    assert degrees == (0, 1)
+    t2 = taut.twist([w], degrees)
     assert t2.degree(Character((1,)), e) == -1
-    t3 = t2.typeIII_twist(w, [e])
-    assert t3.key == taut.key
+    assert t2.twist([w], (0, -1)).key == taut.key
 
 
 def test_pl_consistency_preserved_by_operations():
@@ -366,9 +367,8 @@ def test_pl_consistency_preserved_by_operations():
     fan = gh.fan
     c = fan.interior_vertices()[0]
     mark = Character((10,))
-    r2 = [ch for ch in g.characters if ch != mark]
     # from_coeffs solves and checks every chart; no exception means pass
-    t2 = taut.twist_by_divisor([c], r2)
+    t2 = taut.twist([c], [1 if ch == mark else 0 for ch in g.characters])
     t3 = TautBundle.from_coeffs(g, fan, t2.coeffs)
     assert t3.key == t2.key
 

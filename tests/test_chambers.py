@@ -3,9 +3,10 @@ import hashlib
 import itertools
 import json
 import pickle
-import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crepant.bundles import TautBundle
 from crepant.chambers import (
@@ -196,14 +197,23 @@ def test_facet_normals_match_reference_on_hand_built_cones():
     probe = tuple(map(sum, zip(*undecided)))
     assert _foot_certificate(e1, [probe], undecided)
     assert not _foot_certificate((0, 1, 1, 1), [probe], undecided)
-    # random sets of -1/0/1 vectors with last entry 1, which span a pointed
-    # cone in which a candidate of small support can lie in the cone of
-    # candidates of larger support, as the axis of the square does
-    rng = random.Random(5)
-    cube = [v + (1,) for v in itertools.product((-1, 0, 1), repeat=3)]
-    for _ in range(40):
-        prims = rng.sample(cube, rng.randint(3, 14))
-        assert _facet_normals(prims, LPCounter()) == reference_normals(prims)
+
+
+@st.composite
+def cube_vector_sets(draw):
+    """Sets of -1/0/1 vectors with last entry 1 in dimension 3 to 5.  They
+    span a pointed cone in which a candidate of small support can lie in
+    the cone of candidates of larger support, as the axis of the square
+    does."""
+    d = draw(st.integers(3, 5))
+    vector = st.lists(st.sampled_from((-1, 0, 1)), min_size=d - 1, max_size=d - 1)
+    return draw(st.lists(vector.map(lambda v: tuple(v) + (1,)), min_size=1, max_size=14))
+
+
+@settings(max_examples=100)
+@given(cube_vector_sets())
+def test_facet_normals_match_reference_on_cube_vectors(prims):
+    assert _facet_normals(prims, LPCounter()) == reference_normals(prims)
 
 
 def test_facet_normals_match_reference_on_1_6_chambers():

@@ -240,6 +240,47 @@ def test_quiver_rejects_triangle_index_out_of_range(orbit):
     assert p.stdout == ""
 
 
+def assert_rejected(p):
+    """Invalid input: exit 1 with an error line, no traceback, no report."""
+    assert p.returncode == 1
+    assert p.stderr.startswith("error:")
+    assert "Traceback" not in p.stderr
+    assert p.stdout == ""
+
+
+@pytest.mark.parametrize("split", ["--split=0,99", "--split=-1,0"])
+def test_quiver_rejects_split_index_out_of_range(split):
+    assert_rejected(run_cli("quiver", "1/6(1,2,3)", split))
+
+
+@pytest.mark.parametrize("command", [("cross", "--facet", "0"), ("quiver",)])
+def test_seed_state_of_another_group_is_rejected(command):
+    token = state_token(ghilb_state(parse_group("1/11(1,2,8)")))
+    p = run_cli(command[0], "1/3(1,1,1)", *command[1:], "--seed-state", token)
+    assert_rejected(p)
+    assert "1/11" in p.stderr
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("markings", "--json"), ("chamber", "--json"), ("ghilb", "--svg"), ("quiver", "--svg")],
+)
+def test_unwritable_output_path_is_rejected(tmp_path, command, flag):
+    p = run_cli(command, "1/6(1,2,3)", flag, str(tmp_path / "missing" / "out"))
+    assert_rejected(p)
+
+
+@pytest.mark.parametrize("cap", ["--max-chambers=-1", "--max-lp=-1", "--max-fans=-1"])
+def test_enumerate_rejects_negative_caps(cap):
+    assert_rejected(run_cli("enumerate", "1/3(1,1,1)", cap))
+
+
+def test_enumerate_max_lp_zero_disables_the_lp_cap():
+    # 1/5(1,1,3) takes 15 LP solves
+    assert run_cli("enumerate", "1/5(1,1,3)", "--max-lp", "1").returncode == 2
+    assert run_cli("enumerate", "1/5(1,1,3)", "--max-lp", "0").returncode == 0
+
+
 def test_svg_labels(tmp_path):
     svg = tmp_path / "fan.svg"
     p = run_cli("ghilb", "1/11(1,2,8)", "--svg", str(svg))

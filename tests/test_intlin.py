@@ -91,7 +91,7 @@ def test_hnf_randomized_span_preserved():
             assert reduce_mod_lattice(list(r), h) == (0, 0, 0, 0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_principal_reducer_matches_reduce_mod_lattice(data):
     # The reducer works in vertex order; the reference reduces the row

@@ -13,6 +13,12 @@ or changing the generator (weights times a unit mod r), must give the
 same chamber graph up to isomorphism.  The property tests walk random
 crossings from G-Hilb: a state token replays its state, and crossing back
 over the negated facet undoes a crossing.
+
+Crossing a type-0 or type-III wall twists each bundle by the facet
+normal's coefficient times a divisor.  A reference rule, stated on the
+splitting and on the fiber degrees instead, checks that twist on every
+such wall of the sweep graphs and near the 1/11(1,2,8) G-Hilb chamber,
+and a property test checks that a twist is undone by the negated twist.
 """
 
 import itertools
@@ -24,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crepant.bundles import TautBundle
 from crepant.chambers import (
     compute_chamber,
     cross_wall,
@@ -54,6 +61,25 @@ def pruned_outside_cone(ineqs, normals):
     return len(pruned), witnesses
 
 
+def within_two_crossings_of_ghilb_1_11():
+    """The 132 states within two crossings of the 1/11(1,2,8) G-Hilb
+    state, each with its chamber, in BFS order."""
+    s0 = ghilb_state(parse_group("1/11(1,2,8)"))
+    seen = {s0.key}
+    level = [s0]
+    for depth in range(3):
+        next_level = []
+        for state in level:
+            chamber = compute_chamber(state, LPCounter())
+            yield state, chamber
+            for f in chamber.facets if depth < 2 else ():
+                nstate = cross_wall(state, f)
+                if nstate.key not in seen:
+                    seen.add(nstate.key)
+                    next_level.append(nstate)
+        level = next_level
+
+
 @pytest.mark.parametrize("spec", sweep_groups())
 def test_pruned_inequalities_are_implied_on_sweep_graphs(spec):
     graph = enumerate_chambers(parse_group(spec))
@@ -65,27 +91,68 @@ def test_pruned_inequalities_are_implied_on_sweep_graphs(spec):
 
 
 def test_pruned_inequalities_are_implied_within_two_crossings_of_ghilb_1_11():
-    g = parse_group("1/11(1,2,8)")
-    s0 = ghilb_state(g)
-    seen = {s0.key}
-    level = [s0]
     chambers = functionals = 0
-    for depth in range(3):
-        next_level = []
-        for state in level:
-            chamber = compute_chamber(state, LPCounter())
-            normals = [f.normal for f in chamber.facets]
-            n, witnesses = pruned_outside_cone(chamber.inequalities, normals)
-            assert witnesses == {}, state.key
-            chambers += 1
-            functionals += n
-            for f in chamber.facets if depth < 2 else ():
-                nstate = cross_wall(state, f)
-                if nstate.key not in seen:
-                    seen.add(nstate.key)
-                    next_level.append(nstate)
-        level = next_level
+    for state, chamber in within_two_crossings_of_ghilb_1_11():
+        normals = [f.normal for f in chamber.facets]
+        n, witnesses = pruned_outside_cone(chamber.inequalities, normals)
+        assert witnesses == {}, state.key
+        chambers += 1
+        functionals += n
     assert (chambers, functionals) == (132, 59_765)
+
+
+def reference_twist_key(state, facet):
+    """The key across a type-0 or type-III wall by the rule stated on the
+    wall's data.  Type 0: the bundles of the side of the splitting without
+    the trivial character are twisted by the unstable divisor, by +r on
+    the sub side R1 and by -r on the quotient side R2.  Type III: the fiber
+    degrees agree on every fiber and all lie in {0,1} or all in {0,-1};
+    the bundles of degree s = +1 (or -1) are twisted by s*r on the swept
+    divisor."""
+    g = state.group
+    chars = [c.index for c in g.characters]
+    if facet.wall_type == "0":
+        r2 = set(facet.splitting[1])
+        if g.trivial.index in r2:
+            mult = [0 if c in r2 else 1 for c in chars]
+        else:
+            mult = [-1 if c in r2 else 0 for c in chars]
+        verts = set(facet.divisor)
+    else:
+        fibers = [state.fan.edge(*ep) for ep in facet.contracted]
+        degrees = []
+        for rho in g.characters:
+            (d,) = {state.taut.degree(rho, e) for e in fibers}
+            degrees.append(d)
+        sign = 1 if set(degrees) <= {0, 1} else -1
+        assert set(degrees) <= {0, sign}
+        mult = [sign if d == sign else 0 for d in degrees]
+        verts = {facet.swept}
+    coeffs = [
+        [c + m * g.r if w in verts else c for w, c in enumerate(row)]
+        for row, m in zip(state.taut.coeffs, mult)
+    ]
+    return (state.fan.key, TautBundle(g, state.fan, coeffs).key)
+
+
+def twist_walls():
+    """(state, facet) for every type-0 and type-III facet of the sweep
+    graphs and of the chambers within two crossings of the 1/11(1,2,8)
+    G-Hilb chamber."""
+    for spec in sweep_groups():
+        for state, facets, _ in enumerate_chambers(parse_group(spec)).nodes:
+            yield from ((state, f) for f in facets)
+    for state, chamber in within_two_crossings_of_ghilb_1_11():
+        yield from ((state, f) for f in chamber.facets)
+
+
+def test_twist_crossings_match_the_reference_rule():
+    seen = Counter()
+    for state, facet in twist_walls():
+        if facet.wall_type in ("0", "III"):
+            assert cross_wall(state, facet).key == reference_twist_key(state, facet)
+            seen[facet.wall_type] += 1
+    assert seen["0"] > 0 and seen["III"] > 0
 
 
 def graph_summary(spec):
@@ -122,9 +189,6 @@ def test_renaming_the_group_keeps_the_graph(r, weights, k, renamed_lp):
     assert graph_summary(spec(renamed)) == (chambers, fans, types, renamed_lp)
 
 
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
 def sorted_facets(state):
     return sorted(compute_chamber(state, LPCounter()).facets, key=lambda f: f.normal)
 
@@ -137,7 +201,7 @@ def crossing_walks(draw):
     return spec, draw(st.lists(st.integers(0, 63), max_size=3))
 
 
-@PROPERTY
+@settings(max_examples=100)
 @given(crossing_walks())
 def test_random_walks_replay_tokens_and_undo_crossings(walk):
     spec, picks = walk
@@ -153,3 +217,26 @@ def test_random_walks_replay_tokens_and_undo_crossings(walk):
             back = next(b for b in sorted_facets(nstate) if b.normal == negated)
             assert back.wall_type == f.wall_type
             assert cross_wall(nstate, back).key == state.key
+
+
+@st.composite
+def divisor_twists(draw):
+    """The G-Hilb bundle of a sweep group, 1/11(1,2,8) or
+    1/6(1,1,4)+1/2(1,0,1), a nonempty set of vertices and a multiplier
+    with 0 at the trivial character and entries in [-2, 2] elsewhere."""
+    spec = draw(st.sampled_from(sweep_groups() + ["1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]))
+    taut = ghilb_state(parse_group(spec)).taut
+    nv = len(taut.fan.vertices)
+    verts = draw(st.sets(st.integers(0, nv - 1), min_size=1))
+    r = taut.group.r
+    mult = [0] + draw(st.lists(st.integers(-2, 2), min_size=r - 1, max_size=r - 1))
+    return taut, verts, mult
+
+
+@settings(max_examples=200)
+@given(divisor_twists())
+def test_twist_then_inverse_twist_restores_the_key(case):
+    taut, verts, mult = case
+    twisted = taut.twist(verts, mult)
+    assert twisted.twist(verts, [-m for m in mult]).key == taut.key
+    assert TautBundle.from_coeffs(taut.group, taut.fan, twisted.coeffs).key == twisted.key

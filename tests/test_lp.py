@@ -174,28 +174,25 @@ def single_signed_cone_systems(draw):
     return c, gens
 
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
-
-
-@PROPERTY
+@settings(max_examples=300)
 @given(standard_form_systems())
 def test_phase1_matches_reference_on_random_systems(system):
     assert_matches_reference(*system)
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(cone_membership_systems())
 def test_phase1_matches_reference_on_cone_membership_systems(system):
     assert_matches_reference(*system)
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(integer_cone_systems())
 def test_cone_membership_matches_reference_on_integer_systems(system):
     assert_membership_matches_reference(*system)
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(single_signed_cone_systems())
 def test_cone_membership_matches_reference_on_single_signed_systems(system):
     assert_membership_matches_reference(*system)
