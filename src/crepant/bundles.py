@@ -22,43 +22,12 @@ chambers.ClassTable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import InternalError, PreconditionError, UserError
+from .errors import InternalError, PreconditionError
 from .fans import Triangulation
 from .groups import Character, GroupSpec
 from .intlin import dot, solve3_int
 
 Exponent = tuple[int, int, int]
-
-# ---------------------------------------------------------------------------
-# R(G)-valued classes and stability parameters
-
-
-def rclass_regular(g: GroupSpec):
-    return tuple(1 for _ in g.characters)
-
-
-@dataclass(frozen=True)
-class ThetaVector:
-    """A stability parameter: one rational per character, summing to zero."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if sum(self.values) != 0:
-            raise UserError("stability parameter does not sum to zero")
-
-    def __call__(self, rho_index: int) -> Fraction:
-        return self.values[rho_index]
-
-
-def theta_from_nontrivial(g: GroupSpec, vals) -> ThetaVector:
-    """Build a ThetaVector from values on the nontrivial characters."""
-    vals = [Fraction(v) for v in vals]
-    return ThetaVector(tuple([-sum(vals)] + vals))
-
 
 # ---------------------------------------------------------------------------
 # The tautological bundle

@@ -37,7 +37,7 @@ from .fans import Triangulation, flip
 from .ggraphs import ghilb_fan
 from .groups import GroupSpec
 from .intlin import primitive
-from .lp import LPCounter, cone_membership, find_point
+from .lp import LPCounter, cone_membership, find_point, sign_masks
 from .recipe import mark_divisors
 
 
@@ -266,7 +266,11 @@ def _facet_normals(prims, counter: LPCounter):
     what it leaves undecided costs an LP.  Dropping a generator that lies
     in the cone of the others leaves the cone unchanged, and the cone of a
     subset only shrinks, so a candidate kept at its turn stays irredundant
-    and the pass ends on the facet set.
+    and the pass ends on the facet set.  The presolve's sign masks are
+    built once per scan over the undecided candidates; each test passes the
+    bit mask of the kept candidates other than its own, so the generators
+    keep their list order and the reduced systems are those of a fresh
+    test on the kept list minus the candidate.
     """
     uniq = sorted(
         set(prims),
@@ -274,22 +278,23 @@ def _facet_normals(prims, counter: LPCounter):
     )
     pool = set(uniq)
     undecided = [f for f in uniq if not _two_term_sum(f, pool)]
+    if not undecided:
+        return []
     # Probe point for foot certificates: an exact interior point of the
     # undecided system would do, but any strictly-positive point works as
     # a heuristic; verification is exact either way.
-    probes = []
-    if undecided:
-        d = len(undecided[0])
-        probes.append(tuple(sum(g[i] for g in undecided) for i in range(d)))
-    kept = list(undecided)
-    for f in undecided:
+    d = len(undecided[0])
+    probes = [tuple(sum(g[i] for g in undecided) for i in range(d))]
+    masks = sign_masks(undecided, d)
+    kept = (1 << len(undecided)) - 1
+    for j, f in enumerate(undecided):
         if _foot_certificate(f, probes, undecided):
             continue
-        others = [g for g in kept if g != f]
-        ok, _ = cone_membership(f, others, counter)
+        others = kept & ~(1 << j)
+        ok, _ = cone_membership(f, undecided, counter, masks, others)
         if ok:
             kept = others
-    return sorted(kept)
+    return sorted(f for j, f in enumerate(undecided) if kept >> j & 1)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Commands: ghilb | markings | chamber | walls | cross | enumerate | quiver
 | verify.  Reports go to stdout as JSON (also to --json PATH); --svg PATH
 writes a rendering where available.  Exit codes: 0 success, 1 usage or
-invalid input, 2 resource cap exceeded, 3 internal invariant violation.
+invalid input, 2 resource cap exceeded (memory included), 3 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _emit(rep: dict, args) -> None:
 
 def _state(args):
     g = parse_group(args.group)
-    if getattr(args, "seed_state", None):
+    if getattr(args, "seed_state", None) is not None:
         state = report.state_from_token(args.seed_state)
         if state.group is not g:
             raise UserError(f"the state token is a state of {state.group}, not of {g}")
@@ -207,7 +208,7 @@ def cmd_quiver(args):
 
     state = _state(args)
     g = state.group
-    if args.orbit:
+    if args.orbit is not None:
         try:
             tri, vert = (int(x) for x in args.orbit.split(","))
         except ValueError:
@@ -231,7 +232,7 @@ def cmd_quiver(args):
         "diagonals_absent": all(diag.values()),
     }
     band_dec = None
-    if args.split:
+    if args.split is not None:
         try:
             quot = {int(x) for x in args.split.split(",")}
         except ValueError:
@@ -310,6 +311,9 @@ def main(argv=None) -> int:
         return 1
     except CapError as ex:
         print(f"cap exceeded: {ex}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("cap exceeded: out of memory", file=sys.stderr)
         return 2
     except InternalError as ex:
         print(f"internal invariant violation: {ex}", file=sys.stderr)

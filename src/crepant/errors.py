@@ -36,7 +36,8 @@ class PreconditionError(UserError):
 
 
 class CapError(CrepantError):
-    """A configured resource cap (fan count, chamber count, LP solves) was hit."""
+    """A resource cap (fan count, chamber count, LP solves, group order) was
+    hit."""
 
 
 class InternalError(CrepantError):

@@ -119,9 +119,6 @@ class GroupSpec:
     def char_add(self, a: Character, b: Character) -> Character:
         return Character(tuple((x + y) % n for x, y, n in zip(a.index, b.index, self.orders)))
 
-    def char_neg(self, a: Character) -> Character:
-        return Character(tuple((-x) % n for x, n in zip(a.index, self.orders)))
-
     def char_order(self, a: Character) -> int:
         return lcm(*(n // gcd(x, n) for x, n in zip(a.index, self.orders))) if a.index else 1
 

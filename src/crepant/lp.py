@@ -1,14 +1,26 @@
 """Exact rational linear programming for cone computations.
 
 One phase-I simplex kernel runs on a fraction-free integer tableau with
-Bland's rule, so results are exact and termination is guaranteed; each
-pivot updates the tableau a whole row at a time, with the same pivots as
-an entry-by-entry update.  Two entry points matter: feasibility of a
-system of inequalities (used for interior and wall sample points), and
-membership of a vector in the conic hull of others (used for redundancy
-elimination).  Cone membership returns a Farkas witness on failure: an
-exact point weakly inside the cone's dual and strictly negative on the
-tested vector, which doubles as a separation certificate.
+Bland's rule, so results are exact and termination is guaranteed.  Two
+entry points matter: feasibility of a system of inequalities (used for
+interior and wall sample points), and membership of a vector in the conic
+hull of others (used for redundancy elimination).  Cone membership returns
+a Farkas witness on failure: an exact point weakly inside the cone's dual
+and strictly negative on the tested vector, which doubles as a separation
+certificate.
+
+A pivot whose pivot element equals the current denominator (almost every
+pivot, most with denominator 1) is a unit step: a row changes only in the
+pivot row's nonzero columns, so only those entries are updated, in place.
+Other pivots update whole rows.  Both give the entries of the
+entry-by-entry update, so the pivots are the same.
+
+Feasibility splits each free variable into x+ and x- and adds one slack per
+row.  Row operations keep every x- column the negative of its x+ column
+and every slack column sigma_i times its row's artificial column, so the
+kernel stores only [A | I_art | b] and prices the mirrored columns from the
+stored ones in Bland order; the basis sequence is that of the full-width
+tableau.
 
 Cone membership first runs an exact sign presolve on bit masks of each
 coordinate row's generator signs.  A forcing row (target 0, generators of
@@ -19,6 +31,10 @@ a target reduced to 0 proves feasibility; only what is left undecided
 reaches the kernel, on the reduced rows and columns.  A Farkas witness of
 the reduced system is carried back through the dropped rows in reverse
 order, so every infeasible answer has a full witness, checked exactly.
+The mask table can be built once for a list of generators and shared by
+tests over any subset of them, given as a bit mask of live generators:
+a redundancy scan tests each candidate against the kept list minus that
+candidate with one table.
 """
 
 from __future__ import annotations
@@ -37,8 +53,10 @@ class LPCounter:
         self.pivots = 0
 
 
-def _phase1(A, b, counter=None):
-    """Phase-I simplex for {A x = b, x >= 0} with b >= 0 and integer data.
+def _phase1(A, b, counter=None, sigma=None):
+    """Phase-I simplex for {A' x = b, x >= 0} with b >= 0 and integer data,
+    where A' is A, or [A | -A | diag(sigma)] when the per-row signs sigma
+    are given (free variables split into x+ and x-, and one slack per row).
 
     Fraction-free integer pivoting: the tableau stays integral with a
     single positive denominator (the previous pivot), so every entry is an
@@ -46,58 +64,91 @@ def _phase1(A, b, counter=None):
     with negative reduced cost) and the ratio test breaks ties on the
     smallest basic index, which guarantees termination and fixes the
     basis sequence, hence the returned point.  A pivot rewrites each
-    non-pivot row, and the objective row, as one whole-row update
-    (a*piv - f*p) // D against the pivot row p, f the row's entry in the
-    entering column; a row with f = 0 is only rescaled, and left alone
-    when piv = D.
+    non-pivot row, and the objective row, as (a*piv - f*p) // D against the
+    pivot row p, f the row's entry in the entering column.  When piv = D
+    this is a - f*p // D, exact since D divides f*p, so only the pivot
+    row's nonzero columns of the rows with f != 0 change; otherwise every
+    row changes, one with f = 0 by rescaling.
+
+    Only [A | I_art | b] is stored.  The columns of -A and diag(sigma) stay
+    the negatives of A's columns and sigma_i times the artificial columns;
+    their reduced costs are -obj[j] and -sigma_i * (D - obj[art_i]), the
+    latter since an artificial's is D - D*y_i and a slack's -sigma_i*D*y_i
+    for the dual y.  Column indices (basis, Bland order, the returned x)
+    are those of the full-width system [A' | I_art | b].
 
     Returns (True, x) on feasibility or (False, y) with the dual vector y
-    satisfying y . A_j <= 0 for every column j and y . b > 0.
+    satisfying y . A'_j <= 0 for every column j and y . b > 0.
     """
     if counter is not None:
         counter.count += 1
     m = len(A)
     n = len(A[0]) if m else 0
-    ncols = n + m
-    rhs = ncols
+    full = n if sigma is None else 2 * n + m  # columns of A'
+    rhs = n + m
     # Integer tableau [A | I_art | b], denominator D = 1, basis = artificials.
     T = [list(map(int, A[i])) + [1 if k == i else 0 for k in range(m)] + [int(b[i])] for i in range(m)]
     # Phase-I objective: minus the column sums, with the artificial columns
     # at reduced cost 0 (c_j = 1, basic).
     obj = [-s for s in map(sum, zip(*T))] if m else [0]
-    obj[n:ncols] = [0] * m
+    obj[n:rhs] = [0] * m
     D = 1
-    basis = [n + i for i in range(m)]
+    basis = [full + i for i in range(m)]
     pivots = 0
     while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
-        if enter < 0:
-            break
+        # Bland's rule on the full-width columns: s times stored column col
+        # enters, with full-width index enter.
+        s = 1
+        col = enter = next((j for j in range(n) if obj[j] < 0), -1)
+        if col < 0 and sigma is not None:
+            col = next((j for j in range(n) if obj[j] > 0), -1)
+            if col >= 0:
+                s, enter = -1, n + col
+            else:
+                i = next((i for i in range(m) if sigma[i] * (obj[n + i] - D) < 0), -1)
+                if i >= 0:
+                    s, col, enter = sigma[i], n + i, 2 * n + i
+        if col < 0:
+            col = next((j for j in range(n, rhs) if obj[j] < 0), -1)
+            if col < 0:
+                break
+            enter = full + col - n
+        # Its reduced cost; a slack's is offset by D from its artificial's.
+        cost = s * (obj[col] - D) if n <= col and enter < full else s * obj[col]
+        cv = [s * row[col] for row in T]
         leave = -1
-        for i in range(m):
-            tic = T[i][enter]
+        for i, tic in enumerate(cv):
             if tic > 0:
                 if leave < 0:
                     leave = i
                 else:
-                    lhs = T[i][rhs] * T[leave][enter]
+                    lhs = T[i][rhs] * cv[leave]
                     rhs_v = T[leave][rhs] * tic
                     if lhs < rhs_v or (lhs == rhs_v and basis[i] < basis[leave]):
                         leave = i
         if leave < 0:
             raise InternalError("phase-I objective unbounded below")
         piv_row = T[leave]
-        piv = piv_row[enter]
-        for i, row in enumerate(T):
-            if i == leave:
-                continue
-            f = row[enter]
-            if f:
-                T[i] = [(a * piv - f * p) // D for a, p in zip(row, piv_row)]
-            elif piv != D:
-                T[i] = [a * piv // D for a in row]
-        f = obj[enter]
-        obj = [(a * piv - f * p) // D for a, p in zip(obj, piv_row)]
+        piv = cv[leave]
+        if piv == D:
+            nz = [(j, p) for j, p in enumerate(piv_row) if p]
+            for i, f in enumerate(cv):
+                if f and i != leave:
+                    row = T[i]
+                    for j, p in nz:
+                        row[j] -= f * p // D
+            for j, p in nz:
+                obj[j] -= cost * p // D
+        else:
+            for i, f in enumerate(cv):
+                if i == leave:
+                    continue
+                row = T[i]
+                if f:
+                    T[i] = [(a * piv - f * p) // D for a, p in zip(row, piv_row)]
+                else:
+                    T[i] = [a * piv // D for a in row]
+            obj = [(a * piv - cost * p) // D for a, p in zip(obj, piv_row)]
         D = piv
         basis[leave] = enter
         pivots += 1
@@ -105,9 +156,9 @@ def _phase1(A, b, counter=None):
         counter.pivots += pivots
     # Real objective value is obj[rhs] / D (negated).
     if obj[rhs] == 0:
-        x = [Fraction(0)] * n
+        x = [Fraction(0)] * full
         for i, bi in enumerate(basis):
-            if bi < n:
+            if bi < full:
                 x[bi] = Fraction(T[i][rhs], D)
         return True, x
     # Dual vector from the artificial columns' reduced costs:
@@ -118,35 +169,50 @@ def _phase1(A, b, counter=None):
 def find_point(rows, rhs, counter=None):
     """Exact rational x with rows . x >= rhs, or None.
 
-    Free variables are split into positive parts; slack variables complete
-    the standard form.
+    Each row becomes the equation sign*(row . (x+ - x-) - s) = sign*t with
+    sign*t >= 0 and a slack s >= 0: the slack column is sigma = -sign times
+    the row's artificial column, so the kernel stores only the sign-scaled
+    rows.
     """
     m = len(rows)
     if m == 0:
         return ()
     d = len(rows[0])
-    A = []
-    b = []
-    for row, t in zip(rows, rhs):
-        sign = 1 if t >= 0 else -1
-        arow = [sign * v for v in row] + [-sign * v for v in row]
-        # a.x - s = t (after sign normalisation)
-        A.append(arow + [0] * m)
-        b.append(sign * t)
-    for i in range(m):
-        A[i][2 * d + i] = -1 if rhs[i] >= 0 else 1
-    ok, res = _phase1(A, b, counter)
+    sign = [1 if t >= 0 else -1 for t in rhs]
+    A = [[s * v for v in row] for row, s in zip(rows, sign)]
+    b = [s * t for s, t in zip(sign, rhs)]
+    ok, res = _phase1(A, b, counter, [-s for s in sign])
     if not ok:
         return None
     return tuple(res[j] - res[d + j] for j in range(d))
 
 
-def cone_membership(c, gens, counter=None):
+def sign_masks(gens, d):
+    """Per coordinate row 0..d-1, the bit masks of the generators that are
+    positive and negative there; bit j stands for gens[j]."""
+    pos = [0] * d
+    neg = [0] * d
+    for j, g in enumerate(gens):
+        bit = 1 << j
+        for i, v in enumerate(g):
+            if v > 0:
+                pos[i] |= bit
+            elif v < 0:
+                neg[i] |= bit
+    return pos, neg
+
+
+def cone_membership(c, gens, counter=None, masks=None, live=None):
     """Is c a nonnegative rational combination of gens?
 
+    Only the generators in the bit mask live take part (all by default);
+    masks is sign_masks(gens, len(c)), built here unless given, so one table
+    serves tests over many subsets of one generator list.  Column order,
+    hence the reduced system and its pivots, is the order of gens.
+
     The system sum_j x_j g_j = c, x >= 0, has one row per coordinate.  An
-    exact presolve runs first, on bit masks over the generators of each
-    row's signs, and applies two rules until neither fires:
+    exact presolve runs first, on the sign masks, and applies two rules
+    until neither fires:
 
     - forcing row: c_i = 0 and every live generator is >= 0 on row i (or
       every one is <= 0), so those nonzero there have weight 0; they and
@@ -163,7 +229,7 @@ def cone_membership(c, gens, counter=None):
     as an LP solve.
 
     Returns (True, None) or (False, witness) where the witness t is an
-    integer vector with dot(g, t) >= 0 for every generator and
+    integer vector with dot(g, t) >= 0 for every generator taking part and
     dot(c, t) < 0, all verified exactly.  It starts as the reduced
     system's witness (or -sign(c_i) e_i for a row with no generator of its
     sign), zero on the dropped rows, and is rebuilt through the dropped
@@ -175,18 +241,12 @@ def cone_membership(c, gens, counter=None):
     the row once it is eliminated, so c . t keeps its sign.
     """
     d = len(c)
-    pos = [0] * d  # per row: bit j set when g_j is > 0 there
-    neg = [0] * d  # per row: bit j set when g_j is < 0 there
-    for j, g in enumerate(gens):
-        bit = 1 << j
-        for i, v in enumerate(g):
-            if v > 0:
-                pos[i] |= bit
-            elif v < 0:
-                neg[i] |= bit
+    pos, neg = masks or sign_masks(gens, d)
+    if live is None:
+        live = (1 << len(gens)) - 1
+    tested = live  # the presolve narrows live; the witness covers these
     target = c
     c = list(c)
-    live = (1 << len(gens)) - 1
     left = list(range(d))  # live rows
     steps = []  # ("force", row, sign, dropped mask) | ("single", row, generator, weight)
     t = None
@@ -266,8 +326,8 @@ def cone_membership(c, gens, counter=None):
             t[i] = -base // g[i]
     t = tuple(t)
     # Exactness paranoia: verify the Farkas certificate.
-    for g in gens:
-        if sum(map(mul, g, t)) < 0:
+    for j, g in enumerate(gens):
+        if tested >> j & 1 and sum(map(mul, g, t)) < 0:
             raise InternalError("invalid Farkas witness (generator side)")
     if sum(map(mul, target, t)) >= 0:
         raise InternalError("invalid Farkas witness (target side)")

@@ -1,4 +1,8 @@
-"""Euler pairings and twists on the representation-ring model of K-theory.
+"""The K-theory side of the paper, kept as a test reference: Euler
+pairings and twists on the representation-ring model of K-theory, and
+stability parameters paired with R(G)-classes.  The library never calls
+these; the tests use them as an independent check that the classes
+crepant.chambers.ClassTable assembles pair correctly with curve classes.
 
 R(G)-valued classes stand for compactly supported K-theory classes of the
 resolution, transported through the Fourier-Mukai identification with the
@@ -10,9 +14,39 @@ pairing is skew-symmetric.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import GroupSpec
+from crepant.errors import UserError
+from crepant.groups import Character, GroupSpec
+
+
+def char_neg(g: GroupSpec, a: Character) -> Character:
+    return Character(tuple((-x) % n for x, n in zip(a.index, g.orders)))
+
+
+def rclass_regular(g: GroupSpec):
+    return tuple(1 for _ in g.characters)
+
+
+@dataclass(frozen=True)
+class ThetaVector:
+    """A stability parameter: one rational per character, summing to zero."""
+
+    values: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if sum(self.values) != 0:
+            raise UserError("stability parameter does not sum to zero")
+
+    def __call__(self, rho_index: int) -> Fraction:
+        return self.values[rho_index]
+
+
+def theta_from_nontrivial(g: GroupSpec, vals) -> ThetaVector:
+    """Build a ThetaVector from values on the nontrivial characters."""
+    vals = [Fraction(v) for v in vals]
+    return ThetaVector(tuple([-sum(vals)] + vals))
 
 
 def pairing_table(g: GroupSpec):
@@ -35,9 +69,8 @@ def _koszul_weights(g: GroupSpec):
     representation itself carries their inverses.
     """
     wx, wy, wz = g.coord_weights
-    neg = g.char_neg
     add = g.char_add
-    lam1 = [neg(wx), neg(wy), neg(wz)]
+    lam1 = [char_neg(g, wx), char_neg(g, wy), char_neg(g, wz)]
     lam2 = [add(lam1[0], lam1[1]), add(lam1[0], lam1[2]), add(lam1[1], lam1[2])]
     lam3 = [add(lam2[0], lam1[2])]
     return [[g.trivial], lam1, lam2, lam3]
@@ -51,7 +84,7 @@ def compact_euler_coeffs(g: GroupSpec):
         s = 1 if i % 2 == 0 else -1
         for w in weights:
             # [Lambda^i V tensor (sigma - rho)]^G is nonzero iff w = rho - sigma.
-            table[g.char_neg(w)] += s
+            table[char_neg(g, w)] += s
     return table
 
 
@@ -69,7 +102,7 @@ def compact_pairing(g: GroupSpec, beta1, beta2) -> int:
             b2 = beta2[j]
             if not b2:
                 continue
-            c = coeffs[g.char_add(sigma, g.char_neg(rho))]
+            c = coeffs[g.char_add(sigma, char_neg(g, rho))]
             if c:
                 total += b1 * b2 * c
     return total

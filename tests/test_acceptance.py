@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from crepant.bundles import ghilb_taut, rclass_regular, theta_from_nontrivial
+from crepant.bundles import ghilb_taut
 from crepant.chambers import (
     _facet_normals,
     compute_chamber,
@@ -36,10 +36,18 @@ from crepant.fans import curve_degrees, flip, flip_reachable_fans
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
 from crepant.intlin import primitive
-from crepant.ktheory import compact_pairing, pairing_table, theta_pairing, twist_class, untwist_class
 from crepant.lp import LPCounter, find_point
 from crepant.quiver import band, check_diamond_cover, is_rigid, orbit_rep, subsheaf_subsets, two_dim_orbits
 from crepant.recipe import mark_divisors, mark_lines
+from ktheory_reference import (
+    compact_pairing,
+    pairing_table,
+    rclass_regular,
+    theta_from_nontrivial,
+    theta_pairing,
+    twist_class,
+    untwist_class,
+)
 
 ENUM_GROUPS = ["1/2(1,0,1)", "1/3(1,1,1)", "1/6(1,2,3)", "1/11(1,2,8)"]
 

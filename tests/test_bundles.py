@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from crepant.bundles import TautBundle, ghilb_taut, theta_from_nontrivial
+from crepant.bundles import TautBundle, ghilb_taut
 from crepant.chambers import ChamberState, ClassTable, compute_chamber, cross_wall, ghilb_state
 from crepant.errors import InternalError, UserError
 from crepant.fans import flip, star_surface
@@ -11,6 +11,7 @@ from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, invariant_lattice_basis, parse_group
 from crepant.intlin import dot, solve3_int, sub
 from crepant.lp import LPCounter
+from ktheory_reference import theta_from_nontrivial
 
 GROUPS = ["1/2(1,0,1)", "1/3(1,1,1)", "1/6(1,2,3)", "1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]
 

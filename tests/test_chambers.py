@@ -3,11 +3,13 @@ import hashlib
 import itertools
 import json
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crepant import chambers
 from crepant.bundles import TautBundle
 from crepant.chambers import (
     _facet_normals,
@@ -214,6 +216,50 @@ def cube_vector_sets(draw):
 @given(cube_vector_sets())
 def test_facet_normals_match_reference_on_cube_vectors(prims):
     assert _facet_normals(prims, LPCounter()) == reference_normals(prims)
+
+
+def masked_scan_checked(prims):
+    """_facet_normals(prims) with every membership test of its masked scan
+    repeated as a fresh cone_membership(f, kept - f) on a list, which must
+    give the same answer and witness at the same LP and pivot counts.
+    Returns the scan's result, its counter and the number of tests."""
+    tests = []
+
+    def checked(c, gens, counter, masks, live):
+        fresh = LPCounter()
+        expected = cone_membership(c, [g for j, g in enumerate(gens) if live >> j & 1], fresh)
+        before = counter.count, counter.pivots
+        got = cone_membership(c, gens, counter, masks, live)
+        assert got == expected
+        assert (counter.count - before[0], counter.pivots - before[1]) == (fresh.count, fresh.pivots)
+        tests.append(c)
+        return got
+
+    counter = LPCounter()
+    with mock.patch.object(chambers, "cone_membership", checked):
+        normals = _facet_normals(prims, counter)
+    return normals, counter, len(tests)
+
+
+@settings(max_examples=100)
+@given(cube_vector_sets())
+def test_masked_scan_matches_fresh_membership_tests(prims):
+    normals, _, _ = masked_scan_checked(prims)
+    assert normals == reference_normals(prims)
+
+
+def test_masked_scan_matches_fresh_membership_tests_on_1_11_chambers():
+    g = parse_group("1/11(1,2,8)")
+    s0 = ghilb_state(g)
+    ntests = nlp = 0
+    for state in [s0] + [cross_wall(s0, f) for f in compute_chamber(s0, LPCounter()).facets]:
+        chamber = compute_chamber(state, LPCounter())
+        normals, counter, n = masked_scan_checked(wall_candidates(chamber))
+        assert normals == sorted(f.normal for f in chamber.facets)
+        ntests += n
+        nlp += counter.count
+    # the scans reach both the presolve and the simplex kernel
+    assert ntests > nlp > 0
 
 
 def test_facet_normals_match_reference_on_1_6_chambers():

@@ -34,6 +34,19 @@ def test_ghilb_command_counts():
     assert len(rep["markings"]["divisors"]) == 5
 
 
+def test_group_order_above_limit_is_a_cap():
+    # checked before any G-graph is enumerated; the group itself is small
+    from crepant.ggraphs import MAX_GROUP_ORDER
+
+    r = MAX_GROUP_ORDER + 1
+    p = run_cli("ghilb", f"1/{r}(1,1,{r - 2})")
+    assert p.returncode == 2
+    assert p.stderr == (
+        f"cap exceeded: group order {r} exceeds the G-graph enumeration limit of {MAX_GROUP_ORDER}\n"
+    )
+    assert p.stdout == ""
+
+
 def test_invalid_group_exit_code():
     p = run_cli("ghilb", "1/0(1,1,1)")
     assert p.returncode == 1
@@ -253,6 +266,12 @@ def test_quiver_rejects_split_index_out_of_range(split):
     assert_rejected(run_cli("quiver", "1/6(1,2,3)", split))
 
 
+@pytest.mark.parametrize("option", ["--split=", "--orbit=", "--seed-state="])
+def test_quiver_rejects_empty_option_value(option):
+    # an empty value is malformed input, not an absent option
+    assert_rejected(run_cli("quiver", "1/6(1,2,3)", option))
+
+
 @pytest.mark.parametrize("command", [("cross", "--facet", "0"), ("quiver",)])
 def test_seed_state_of_another_group_is_rejected(command):
     token = state_token(ghilb_state(parse_group("1/11(1,2,8)")))
@@ -325,6 +344,19 @@ def test_verify_fails_on_type_ii_wall(monkeypatch, capsys):
     assert rep["checks"]["facet_count"] == 1
     assert rep["ok"] is False
     assert "no_type_II" in err
+
+
+def test_memory_error_is_a_cap(monkeypatch, capsys):
+    from crepant import chambers, cli
+
+    def out_of_memory(g):
+        raise MemoryError
+
+    monkeypatch.setattr(chambers, "ghilb_chamber", out_of_memory)
+    assert cli.main(["chamber", "1/3(1,1,1)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cap exceeded: out of memory\n"
 
 
 def test_report_round_trip():

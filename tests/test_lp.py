@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from crepant.lp import LPCounter, _phase1, cone_membership, find_point
 
 
-def reference_phase1(A, b):
+def reference_phase1(A, b, steps=None):
     """The phase-I kernel updated one tableau entry at a time: the same
     fraction-free tableau, Bland's entering rule and ratio-test tie-break
-    as crepant.lp._phase1.  Returns (its result, the number of pivots)."""
+    as crepant.lp._phase1, on the whole tableau.  Returns (its result, the
+    number of pivots); each pivot's (pivot element, denominator) is
+    appended to steps when given."""
     m = len(A)
     n = len(A[0]) if m else 0
     ncols = n + m
@@ -45,6 +47,8 @@ def reference_phase1(A, b):
         assert leave >= 0, "phase-I objective unbounded below"
         piv_row = T[leave]
         piv = piv_row[enter]
+        if steps is not None:
+            steps.append((piv, D))
         for i in range(m):
             if i == leave:
                 continue
@@ -65,6 +69,29 @@ def reference_phase1(A, b):
                 x[bi] = Fraction(T[i][rhs], D)
         return (True, x), pivots
     return (False, ([D - obj[n + i] for i in range(m)], D)), pivots
+
+
+def full_width(rows, rhs):
+    """The standard form of rows . x >= rhs written out in full: x = x+ - x-
+    and one slack per row, each row scaled by the sign of its rhs, so the
+    columns are [P | -P | diag(sigma)] with sigma_i = -sign_i."""
+    A, b = [], []
+    m = len(rows)
+    for i, (row, t) in enumerate(zip(rows, rhs)):
+        sign = 1 if t >= 0 else -1
+        slack = [0] * m
+        slack[i] = -sign
+        A.append([sign * v for v in row] + [-sign * v for v in row] + slack)
+        b.append(sign * t)
+    return A, b
+
+
+def reference_find_point(rows, rhs):
+    """(point or None, pivots) of the full-width system through the
+    entry-by-entry reference kernel."""
+    (ok, res), pivots = reference_phase1(*full_width(rows, rhs))
+    d = len(rows[0])
+    return (tuple(res[j] - res[d + j] for j in range(d)) if ok else None), pivots
 
 
 def reference_cone_membership(c, gens):
@@ -172,6 +199,67 @@ def single_signed_cone_systems(draw):
         coeffs = draw(st.lists(st.integers(0, 2), min_size=len(gens), max_size=len(gens)))
         c = [sum(k * g[i] for k, g in zip(coeffs, gens)) for i in range(d)]
     return c, gens
+
+
+@st.composite
+def inequality_systems(draw):
+    """Systems rows . x >= rhs in dimension d <= 4 with entries in [-3, 3]
+    and right-hand sides of both signs; half of them get the reverse of
+    one row with its bound raised by one, so they are infeasible."""
+    d = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    rhs = draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(rows) - 1))
+        rows.append([-v for v in rows[k]])
+        rhs.append(1 - rhs[k])
+    return rows, rhs
+
+
+@settings(max_examples=300)
+@given(inequality_systems())
+def test_find_point_matches_full_width_reference(system):
+    rows, rhs = system
+    counter = LPCounter()
+    assert (find_point(rows, rhs, counter), counter.pivots) == reference_find_point(rows, rhs)
+    assert counter.count == 1
+    # The half-width kernel returns what the full-width one does, dual
+    # vector of an infeasible system included.
+    sign = [1 if t >= 0 else -1 for t in rhs]
+    half = [[s * v for v in row] for row, s in zip(rows, sign)]
+    b = [s * t for s, t in zip(sign, rhs)]
+    assert _phase1(half, b, None, [-s for s in sign]) == reference_phase1(*full_width(rows, rhs))[0]
+
+
+def test_small_entry_systems_take_both_pivot_updates():
+    # Seeded systems {A x = b, x >= 0} with entries in [-3, 3] match the
+    # reference and make unit-step pivots with D != 1 as well as whole-row
+    # pivots (piv != D).
+    rng = random.Random(5)
+    steps = []
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(0, 3) for _ in range(m)]
+        assert_matches_reference(A, b)
+        reference_phase1(A, b, steps)
+    assert any(piv == D != 1 for piv, D in steps)
+    assert any(piv != D for piv, D in steps)
+
+
+def test_find_point_matches_full_width_reference_on_fixed_systems():
+    # a tight rational point, negative right-hand sides, an infeasible pair
+    # and a system needing x+, x- and slack columns; x- columns enter in the
+    # first, second and fourth, slack columns in the first and fourth
+    for rows, rhs in [
+        ([(3, -1), (-3, 1), (1, 0)], [1, -1, 0]),
+        ([(1, 1), (-1, 0)], [-5, -2]),
+        ([(1,), (-1,)], [1, 0]),
+        ([(2, -1), (-1, 2), (1, 1)], [1, -3, 2]),
+    ]:
+        counter = LPCounter()
+        assert (find_point(rows, rhs, counter), counter.pivots) == reference_find_point(rows, rhs)
 
 
 @settings(max_examples=300)

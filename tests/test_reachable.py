@@ -18,19 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "crepant"
 CALLERS = [ROOT / "src", ROOT / "demos", ROOT / "perfbench"]
 
-# Reached from outside the scanned code, each for the reason given.  The
-# ktheory and bundles names are the paper's K-theory side (Euler pairing,
-# spherical twist, theta pairing on R(G)-classes); tests use them as the
-# independent reference that ClassTable's classes pair correctly with
-# curve classes.
+# Reached from outside the scanned code, each for the reason given.
 ALLOWED = {
     "cli._Parser.error": "called by argparse",
-    "ktheory.pairing_table": "Euler-pairing reference in tests",
-    "ktheory.twist_class": "Euler-pairing reference in tests",
-    "ktheory.untwist_class": "Euler-pairing reference in tests",
-    "ktheory.theta_pairing": "Euler-pairing reference in tests",
-    "bundles.rclass_regular": "Euler-pairing reference in tests",
-    "bundles.theta_from_nontrivial": "Euler-pairing reference in tests",
 }
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
