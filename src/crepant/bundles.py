@@ -2,18 +2,21 @@
 
 A torus-invariant line bundle on the resolution is a divisor: one
 coefficient per ray of the fan, stored r-scaled as integers.  These ray
-coefficients, one row per character and reduced modulo the principal
-(invariant-exponent) rows to a canonical form by the group's
+coefficients, one row per character in the canonical form of the group's
 principal_reducer, are the whole state of a tautological bundle: they are
-its key and its token format, and wall crossings update them directly
-(a divisor twist adds a multiple of r on the divisor's rays; flops keep
-them).  Everything else is derived: the chart generator on a triangle is
+its key and its token format.  Rows from outside (a decoded token, the
+G-Hilbert scheme's G-graphs) enter through TautBundle.from_coeffs, which
+reduces them and checks every chart; wall crossings update canonical rows
+directly and keep them canonical (a divisor twist adds a multiple of r on
+non-corner rays, and the reducer pivots on the corners; flops keep the
+rows).  Everything else is derived: the chart generator on a triangle is
 the Laurent exponent pairing to minus the coefficients of its three
-vertices, solved on demand and checked for integrality and character;
-degrees and star-surface restrictions are per-fan linear maps of the
-coefficients (the fan's geometry, a fans.FanGeometry).  The tautological
-bundle T_rho of the G-Hilbert scheme starts from its chart generators, the
-G-graph monomials of weight rho.
+vertices, solved on demand through the fan's inverse of that triangle and
+checked for integrality and character; degrees and star-surface
+restrictions are per-fan linear maps of the coefficients (the fan's
+geometry, a fans.FanGeometry).  The tautological bundle T_rho of the
+G-Hilbert scheme starts from its chart generators, the G-graph monomials
+of weight rho.
 
 Euler characteristics on star surfaces (integer Riemann-Roch on this data)
 and the R(G)-valued classes of restricted bundles are assembled in
@@ -25,7 +28,7 @@ from __future__ import annotations
 from .errors import InternalError, PreconditionError
 from .fans import Triangulation
 from .groups import Character, GroupSpec
-from .intlin import dot, solve3_int
+from .intlin import dot
 
 Exponent = tuple[int, int, int]
 
@@ -35,7 +38,7 @@ Exponent = tuple[int, int, int]
 
 class TautBundle:
     """One line bundle per character, with trivial bundle at the trivial
-    character; immutable and canonicalised.
+    character; immutable and canonical.
 
     coeffs[k][w] is the r-scaled ray coefficient at vertex w of the k-th
     character's bundle, reduced to its canonical representative; these
@@ -45,55 +48,34 @@ class TautBundle:
     """
 
     def __init__(self, group: GroupSpec, fan: Triangulation, coeffs):
-        """Bundle from ray coefficients, canonicalised; checks only the
-        shape and that the trivial character's row vanishes.
+        """Bundle from canonical rows whose charts are integral and of
+        their characters; checks nothing.
 
-        Every chart of a bundle is integral and of its character when the
-        bundle comes from from_gens or from_coeffs (which check every
-        chart), or from a divisor twist or a flop of such a bundle (which
-        keep the checked charts and check any new one).  Callers of this
-        raw constructor own that guarantee."""
+        from_coeffs makes such rows from any rows and checks every chart.
+        A divisor twist off the corners and a flop keep them canonical,
+        since the reducer pivots on the corner columns alone, and keep the
+        checked charts (see twist and proper_transform)."""
+        self.group = group
+        self.fan = fan
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_coeffs(cls, group: GroupSpec, fan: Triangulation, coeffs) -> "TautBundle":
+        """Bundle from ray coefficients given from outside: checks the
+        shape (r rows of one entry per vertex), reduces every row to its
+        canonical form, checks that the trivial character's row vanishes,
+        and solves and checks every chart before it returns."""
         nv = len(fan.vertices)
         if len(coeffs) != group.r or any(len(row) != nv for row in coeffs):
             raise PreconditionError(
                 f"coefficient data must be {group.r} rows of {nv} entries"
             )
-        self.group = group
-        self.fan = fan
         reduce_row = group.principal_reducer
-        self.coeffs = tuple(reduce_row(row) for row in coeffs)
-        if any(self.coeffs[group.char_index[group.trivial]]):
+        taut = cls(group, fan, tuple(reduce_row(row) for row in coeffs))
+        if any(taut.coeffs[group.char_index[group.trivial]]):
             raise InternalError(
                 "tautological bundle of the trivial character not trivial"
             )
-
-    @classmethod
-    def from_gens(cls, group: GroupSpec, fan: Triangulation, gens) -> "TautBundle":
-        """Bundle from chart generators, gens[k][t] the exponent of the k-th
-        character's bundle on triangle t.  Generators must have their
-        character and agree (pair equally) at shared vertices."""
-        rows = []
-        for rho, gen_row in zip(group.characters, gens, strict=True):
-            row = [None] * len(fan.vertices)
-            for t, m in zip(fan.triangles, gen_row, strict=True):
-                if group.weight(m) != rho:
-                    raise InternalError("chart generator has wrong character")
-                for w in t:
-                    val = -dot(m, fan.vertices[w])
-                    if row[w] is None:
-                        row[w] = val
-                    elif row[w] != val:
-                        raise InternalError(
-                            f"PL-inconsistent chart generators at vertex {fan.vertices[w]}"
-                        )
-            rows.append(row)
-        return cls(group, fan, rows)
-
-    @classmethod
-    def from_coeffs(cls, group: GroupSpec, fan: Triangulation, coeffs) -> "TautBundle":
-        """Bundle from ray coefficients, with every chart solved and checked
-        before it is returned."""
-        taut = cls(group, fan, coeffs)
         for ti in range(len(fan.triangles)):
             taut.chart(ti)
         return taut
@@ -103,17 +85,18 @@ class TautBundle:
     def chart(self, ti: int) -> tuple[Exponent, ...]:
         """Chart generators on triangle ti, one per character.
 
-        Solving the 3x3 pairing system on the basic triangle yields the
-        unique exponent; it must be integral and of its bundle's character.
+        The generator pairs to minus the coefficients at the triangle's
+        vertices; the fan's inverse of the basic triangle gives the unique
+        such exponent, which must be integral and of its bundle's
+        character.
         """
-        t = self.fan.triangles[ti]
-        rows = [self.fan.vertices[i] for i in t]
+        fan = self.fan
+        t = fan.triangles[ti]
         out = []
         for rho, row in zip(self.group.characters, self.coeffs):
-            try:
-                m = solve3_int(rows, [-row[i] for i in t])
-            except ValueError:
-                raise InternalError(f"non-integral chart generator on triangle {t}") from None
+            m = fan.exponent(ti, [-row[i] for i in t])
+            if m is None:
+                raise InternalError(f"non-integral chart generator on triangle {t}")
             if self.group.weight(m) != rho:
                 raise InternalError("chart generator has wrong character")
             out.append(m)
@@ -147,13 +130,17 @@ class TautBundle:
 
         O(D) has r-scaled coefficient r on the vertices and 0 elsewhere.
         Twisting by it keeps every chart integral and of its character, so
-        charts are not re-solved."""
+        charts are not re-solved.  The vertices must not be corners: a
+        twist off the corners leaves the corner columns, on which the
+        reducer pivots, and so keeps every row canonical."""
         vertices = frozenset(vertices)
+        if any(self.fan.vertex_kind[w] == "corner" for w in vertices):
+            raise PreconditionError("a divisor twist must not touch a corner vertex")
         r = self.group.r
-        coeffs = [
-            [c + m * r if w in vertices else c for w, c in enumerate(row)] if m else row
+        coeffs = tuple(
+            tuple(c + m * r if w in vertices else c for w, c in enumerate(row)) if m else row
             for row, m in zip(self.coeffs, mult, strict=True)
-        ]
+        )
         return TautBundle(self.group, self.fan, coeffs)
 
     def proper_transform(self, new_fan: Triangulation) -> "TautBundle":
@@ -173,11 +160,19 @@ class TautBundle:
 
 def ghilb_taut(g: GroupSpec, gh) -> TautBundle:
     """Tautological bundle of the G-Hilbert scheme: the chart generator of
-    T_rho on a triangle is the G-graph monomial of weight rho."""
+    T_rho on a triangle is the G-graph monomial of weight rho, and the
+    bundle's ray coefficient at a vertex is minus its pairing with that
+    vertex, the same on every triangle at the vertex."""
     fan = gh.fan
-    gens = [[None] * len(fan.triangles) for _ in range(g.r)]
-    for ti, t in enumerate(fan.triangles):
-        gamma = gh.by_triangle[t]
-        for k in range(g.r):
-            gens[k][ti] = gamma.gens[k]
-    return TautBundle.from_gens(g, fan, gens)
+    rows = [[None] * len(fan.vertices) for _ in range(g.r)]
+    for t in fan.triangles:
+        for row, m in zip(rows, gh.by_triangle[t].gens, strict=True):
+            for w in t:
+                val = -dot(m, fan.vertices[w])
+                if row[w] is None:
+                    row[w] = val
+                elif row[w] != val:
+                    raise InternalError(
+                        f"PL-inconsistent chart generators at vertex {fan.vertices[w]}"
+                    )
+    return TautBundle.from_coeffs(g, fan, rows)

@@ -152,25 +152,23 @@ class ClassTable:
                 row = self._edge_twist[ei]
                 self._edge_twist[ei] = [x + sum(map(mul, c, ops[u])) for x, c in zip(row, cs)]
 
-    def subset_classes(self, krs=None):
+    def subset_classes(self):
         """Per connected divisor set, in the fan's geometry.subsets order:
-        (verts, sub classes, quot classes), the classes listed for the
-        character indices krs (all characters by default)."""
+        (verts, sub classes, quot classes), one class per character."""
         r = self.state.group.r
-        krs = range(r) if krs is None else krs
         chi = self._chi
         edge_cols = self.edge_cols
         edge_twist = self._edge_twist
-        sums = []  # per subset: (chi rows for krs, edge-degree sums, twist sums)
+        sums = []  # per subset: (chi rows, edge-degree sums, twist sums)
         for verts, parent, v, joins, c_sub, c_quot in self.geo.subsets:
             chi_v = chi[v]
             if parent is None:
-                rows = [chi_v[kr] for kr in krs]
+                rows = chi_v
                 esum = [0] * r
                 tsum = self._self_twist[v]
             else:
                 rows0, esum, tsum = sums[parent]
-                rows = [list(map(add, row, chi_v[kr])) for row, kr in zip(rows0, krs)]
+                rows = [list(map(add, row, chi_row)) for row, chi_row in zip(rows0, chi_v)]
                 tsum = map(add, tsum, self._self_twist[v])
                 for ei in joins:
                     esum = map(add, esum, edge_cols[ei])
@@ -182,11 +180,11 @@ class ClassTable:
             # quot[ks] = sub[ks] + tsum[ks] - tsum[kr] + c_quot.
             subs = [
                 tuple(map(sub, row, map(sub, esum, repeat(esum[kr] + c_sub))))
-                for row, kr in zip(rows, krs)
+                for kr, row in enumerate(rows)
             ]
             quots = [
                 tuple(map(add, cls, map(add, tsum, repeat(c_quot - tsum[kr]))))
-                for cls, kr in zip(subs, krs)
+                for kr, cls in enumerate(subs)
             ]
             yield verts, subs, quots
 
@@ -651,11 +649,11 @@ def ghilb_chamber(g: GroupSpec, counter: LPCounter | None = None):
     """The chamber of the G-Hilbert scheme, computed twice: once from the
     generic inequality family and once from the specialised one (curve
     classes, a plain positivity per marked character, quotient inequalities
-    at the trivial character only).  The two facet systems must agree."""
+    at the trivial character only, taken from the generic family).  The
+    two facet systems must agree."""
     counter = counter or LPCounter()
     state = ghilb_state(g)
-    table = ClassTable(state)
-    generic = chamber_cone(state, generate_inequalities(state, table), counter)
+    generic = chamber_cone(state, generate_inequalities(state), counter)
 
     marks = mark_divisors(ghilb_fan(g), g)
     special = [iq for iq in generic.inequalities if iq.source[0] == "curve"]
@@ -663,9 +661,11 @@ def ghilb_chamber(g: GroupSpec, counter: LPCounter | None = None):
         for rho in sorted(chars, key=lambda c: c.index):
             cls = tuple(1 if c == rho else 0 for c in g.characters)
             special.append(Inequality(cls, ">", ("sub", rho, (v,))))
-    k0 = g.char_index[g.trivial]
-    for verts, _, quots in table.subset_classes([k0]):
-        special.append(Inequality(quots[0], "<", ("quot", g.trivial, verts)))
+    special += [
+        iq
+        for iq in generic.inequalities
+        if iq.source[0] == "quot" and iq.source[1] == g.trivial
+    ]
     specialised = chamber_cone(state, special, counter)
     if {f.normal for f in generic.facets} != {f.normal for f in specialised.facets}:
         raise InternalError(

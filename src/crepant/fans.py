@@ -10,12 +10,14 @@ rays of the fan (divisors of the resolution), edges are two-dimensional
 cones (curves; compact exactly when the edge is interior to the simplex),
 triangles are three-dimensional cones (chart fixed points).
 
-Each fan key has one Triangulation object (its constructor interns), and
-everything a line bundle's invariants need besides the bundle itself is
-that object's geometry attribute, a FanGeometry built on first use: star
-surfaces, incidence tables, the two linear maps that read curve degrees
-and star restrictions off a bundle's r-scaled ray coefficients, and the
-table of connected compact-divisor subsets over which the chamber
+Each fan key has one Triangulation object (its constructor interns).  Its
+per-triangle inverses serve every exact solve in a triangle's basis: edge
+relations, star self-intersections, star-ray coordinates and chart
+generators.  Everything a line bundle's invariants need besides the bundle
+itself is that object's geometry attribute, a FanGeometry built on first
+use: star surfaces, incidence tables, the two linear maps that read curve
+degrees and star restrictions off a bundle's r-scaled ray coefficients,
+and the table of connected compact-divisor subsets over which the chamber
 inequalities are assembled.
 """
 
@@ -27,7 +29,11 @@ from typing import NamedTuple
 
 from .errors import CapError, DegenerateEdgeError, InternalError, InvalidFlipError, UserError
 from .groups import GroupSpec
-from .intlin import det3, primitive, solve3_int
+from .intlin import cross, dot, inverse3, primitive, solve3
+
+# Most compact divisors of a fan whose connected-subset table (a loop over
+# all 2^n bit masks) is built; 20 took 1.9-13.5 s on a 2-vCPU host.
+MAX_COMPACT_DIVISORS = 20
 
 
 @dataclass(frozen=True)
@@ -99,10 +105,15 @@ class Triangulation:
             raise InternalError(
                 f"expected {r} triangles, got {len(self.triangles)}"
             )
+        # Per triangle, its inverse: d and dual rows with c_j . t_i = d [i == j].
+        inverses = []
         for t in self.triangles:
-            d = abs(det3(*(self.vertices[i] for i in t)))
-            if d != r * r:
-                raise InternalError(f"triangle {t} is not basic (det {d} != r^2)")
+            a, b, c = (self.vertices[i] for i in t)
+            dual, d = inverse3(a, b, c)
+            if abs(d) != r * r:
+                raise InternalError(f"triangle {t} is not basic (det {abs(d)} != r^2)")
+            inverses.append((dual, d))
+        self.inverses = tuple(inverses)
         used = set()
         for t in self.triangles:
             used.update(t)
@@ -142,38 +153,38 @@ class Triangulation:
     def triangles_at_vertex(self, v: int) -> tuple[int, ...]:
         return tuple(ti for ti, t in enumerate(self.triangles) if v in t)
 
+    def coords(self, ti: int, v: int) -> dict:
+        """Vertex v as an integer combination of triangle ti's vertices,
+        {vertex: coefficient} in the triangle's vertex order; integral
+        because the triangle is basic."""
+        dual, d = self.inverses[ti]
+        qr = [divmod(dot(c, self.vertices[v]), d) for c in dual]
+        if any(rem for _, rem in qr):
+            raise InternalError(f"triangle {self.triangles[ti]} is not a lattice basis")
+        return {w: q for w, (q, _) in zip(self.triangles[ti], qr)}
 
-def _integral_pair(p, q, rhs):
-    """Integers (x, y) with x*p + y*q = rhs in Z^3, or None if there are
-    none.  Cramer's rule on the first pair of coordinates where p and q
-    are independent, checked exactly on all three."""
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d = p[i] * q[j] - p[j] * q[i]
-            if d:
-                x, rx = divmod(rhs[i] * q[j] - rhs[j] * q[i], d)
-                y, ry = divmod(p[i] * rhs[j] - p[j] * rhs[i], d)
-                if rx or ry or any(x * a + y * b != c for a, b, c in zip(p, q, rhs)):
-                    return None
-                return x, y
-    return None
+    def exponent(self, ti: int, values):
+        """The exponent m with m . t_j = values[j] at the vertices t_j of
+        triangle ti, or None when it is not integral."""
+        return solve3(self.inverses[ti], values)
 
 
 def edge_relation(t: Triangulation, e: Edge) -> tuple[int, int]:
     """Integers (a, b) with v1 + v2 + a*w1 + b*w2 = 0 in N, in endpoint order.
 
     Here (w1, w2) = e.endpoints and v1, v2 are the opposite vertices of the
-    two adjacent triangles.  The normal bundle of the edge's curve is
-    O(a) + O(b) and crepancy forces a + b = -2.
+    two adjacent triangles, so v2 has coordinates (-1, -a, -b) in the
+    basis (v1, w1, w2) of the first.  The normal bundle of the edge's curve
+    is O(a) + O(b) and crepancy forces a + b = -2.
     """
     if not e.interior:
         raise DegenerateEdgeError(f"edge {e.endpoints} is a boundary edge")
-    w1, w2 = (t.vertices[i] for i in e.endpoints)
-    v1, v2 = (t.vertices[i] for i in t.opposite_vertices(e))
-    ab = _integral_pair(w1, w2, [-(x + y) for x, y in zip(v1, v2)])
-    if ab is None:
+    w1, w2 = e.endpoints
+    v1, v2 = t.opposite_vertices(e)
+    alpha = t.coords(e.triangles[0], v2)
+    if alpha[v1] != -1:
         raise InternalError(f"no integral relation at edge {e.endpoints}")
-    a, b = ab
+    a, b = -alpha[w1], -alpha[w2]
     if a + b != -2:
         raise InternalError(f"edge {e.endpoints} violates crepancy: a+b = {a + b}")
     return a, b
@@ -212,8 +223,7 @@ def line_ratio(t: Triangulation, e: Edge, g: GroupSpec):
         raise DegenerateEdgeError(f"edge {e.endpoints} is a boundary edge")
     # The kernel of two independent vectors of Z^3 is spanned by their
     # primitive cross product; its sign is fixed by the ordering below.
-    (a0, a1, a2), (b0, b1, b2) = (t.vertices[i] for i in e.endpoints)
-    k = primitive((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+    k = primitive(cross(*(t.vertices[i] for i in e.endpoints)))
     if not any(k):
         raise InternalError(f"edge {e.endpoints} has parallel endpoints")
     m = tuple(x * g.char_order(g.weight(k)) for x in k)
@@ -251,15 +261,18 @@ class StarSurface:
 def star_surface(t: Triangulation, v: int) -> StarSurface:
     """The star of an interior vertex, its rays read off the triangles at
     v: the edges opposite v form the link, a cycle, walked from its
-    smallest vertex."""
+    smallest vertex.  The ray after u_i has coordinates (-1, -b_i) on
+    (u_{i-1}, u_i) in the basis of the triangle {v, u_{i-1}, u_i}."""
     if t.vertex_kind[v] != "interior":
         raise UserError(f"vertex {t.vertices[v]} is not interior to the simplex")
     c_v = t.vertices[v]
     link = {}
+    tri = {}  # link edge -> its triangle at v
     for ti in t.triangles_at_vertex(v):
         p, q = (i for i in t.triangles[ti] if i != v)
         link.setdefault(p, []).append(q)
         link.setdefault(q, []).append(p)
+        tri[p, q] = tri[q, p] = ti
     if any(len(nbrs) != 2 for nbrs in link.values()):
         raise InternalError(f"star of {c_v} is not a closed fan")
     prev = start = min(link)
@@ -274,13 +287,11 @@ def star_surface(t: Triangulation, v: int) -> StarSurface:
     n = len(rays)
     b = []
     for i in range(n):
-        u_prev = t.vertices[rays[i - 1]]
-        u_i = t.vertices[rays[i]]
-        u_next = t.vertices[rays[(i + 1) % n]]
-        bs = _integral_pair(u_i, c_v, [-(x + y) for x, y in zip(u_prev, u_next)])
-        if bs is None:
+        u_prev, u_i = rays[i - 1], rays[i]
+        alpha = t.coords(tri[u_prev, u_i], rays[(i + 1) % n])
+        if alpha[u_prev] != -1:
             raise InternalError(f"no integral wall relation at star of {c_v}")
-        b.append(bs[0])
+        b.append(-alpha[u_i])
     return StarSurface(v, tuple(rays), tuple(b))
 
 
@@ -360,11 +371,10 @@ class FanGeometry:
         ]
         self._star_terms = {}
         for v in self.interior:
-            t = fan.triangles[fan.triangles_at_vertex(v)[0]]
-            cols = [list(col) for col in zip(*(fan.vertices[i] for i in t))]
+            ti = fan.triangles_at_vertex(v)[0]
             self._star_terms[v] = (
-                t,
-                [(u, solve3_int(cols, list(fan.vertices[u]))) for u in self.stars[v].rays],
+                fan.triangles[ti],
+                [(u, tuple(fan.coords(ti, u).values())) for u in self.stars[v].rays],
             )
         # O(D_u) has r-scaled coefficient r at u and 0 elsewhere.
         nv = len(fan.vertices)
@@ -394,8 +404,14 @@ class FanGeometry:
         over the interior vertices.  A set grows from a connected one by a
         vertex adjacent to it (any leaf of a spanning tree will do), so a
         mask is connected exactly when removing one of its vertices leaves
-        an earlier connected mask joined to that vertex."""
+        an earlier connected mask joined to that vertex.  Fans with more
+        than MAX_COMPACT_DIVISORS compact divisors raise CapError first."""
         interior = self.interior
+        if len(interior) > MAX_COMPACT_DIVISORS:
+            raise CapError(
+                f"{len(interior)} compact divisors exceed the divisor-subset"
+                f" limit of {MAX_COMPACT_DIVISORS}"
+            )
         bit = {v: 1 << i for i, v in enumerate(interior)}
         adj = {v: sum(bit[u] for u in nbrs) for v, nbrs in self.neighbours.items()}
         position = {}

@@ -1,9 +1,11 @@
 """Small exact integer linear algebra helpers.
 
 Everything in the geometry layer works with r-scaled integer lattice points,
-so the only primitives needed are 3x3 determinants, exact linear solves via
-Cramer's rule, Hermite reduction of a handful of generators, and integer
-kernels.  All arithmetic is over Python ints (arbitrary precision).
+so the only primitives needed are cross products and 3x3 determinants, 3x3
+inverses and the exact solves that read them, Hermite reduction of a handful
+of generators, and integer kernels.  The fan and bundle layers keep each
+triangle's inverse on its fans.Triangulation.  All arithmetic is over
+Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
@@ -22,31 +24,31 @@ def sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def det3(a: Vec3, b: Vec3, c: Vec3) -> int:
+def cross(a: Vec3, b: Vec3) -> Vec3:
     return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
     )
 
 
-def solve3_int(rows: list[Vec3], rhs: list) -> Vec3:
-    """Solve rows @ x = rhs and require an integer solution (Cramer,
-    integer arithmetic only)."""
-    d = det3(*rows)
-    if d == 0:
-        raise ZeroDivisionError("singular 3x3 system")
-    cols = list(zip(*rows))
-    out = []
-    for j in range(3):
-        m = [list(c) for c in cols]
-        m[j] = list(rhs)
-        num = det3(*zip(*m))
-        q, rem = divmod(num, d)
-        if rem:
-            raise ValueError("expected integral solution")
-        out.append(q)
-    return tuple(out)
+def det3(a: Vec3, b: Vec3, c: Vec3) -> int:
+    return dot(a, cross(b, c))
+
+
+def inverse3(a: Vec3, b: Vec3, c: Vec3):
+    """The dual rows (b x c, c x a, a x b) of the rows t = (a, b, c) and
+    their determinant d, so that dual[j] . t[i] = d [i == j]."""
+    dual = (cross(b, c), cross(c, a), cross(a, b))
+    return dual, dot(a, dual[0])
+
+
+def solve3(inverse, rhs) -> Vec3 | None:
+    """The x with t @ x = rhs, from inverse3(*t), or None when it is not
+    integral (Cramer's rule over the stored adjugate)."""
+    dual, d = inverse
+    qr = [divmod(dot(rhs, col), d) for col in zip(*dual)]
+    return None if any(rem for _, rem in qr) else tuple(q for q, _ in qr)
 
 
 def vec_gcd(v) -> int:

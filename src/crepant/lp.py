@@ -15,12 +15,12 @@ pivot row's nonzero columns, so only those entries are updated, in place.
 Other pivots update whole rows.  Both give the entries of the
 entry-by-entry update, so the pivots are the same.
 
-Feasibility splits each free variable into x+ and x- and adds one slack per
-row.  Row operations keep every x- column the negative of its x+ column
-and every slack column sigma_i times its row's artificial column, so the
-kernel stores only [A | I_art | b] and prices the mirrored columns from the
-stored ones in Bland order; the basis sequence is that of the full-width
-tableau.
+Feasibility of rows . x >= rhs with rhs >= 0 splits each free variable
+into x+ and x- and subtracts one surplus slack per row.  Row operations
+keep every x- column the negative of its x+ column and every slack column
+the negative of its row's artificial column, so the kernel stores only
+[A | I_art | b] and prices the mirrored columns from the stored ones in
+Bland order; the basis sequence is that of the full-width tableau.
 
 Cone membership first runs an exact sign presolve on bit masks of each
 coordinate row's generator signs.  A forcing row (target 0, generators of
@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .errors import InternalError
+from .errors import InternalError, PreconditionError
 
 
 class LPCounter:
@@ -53,10 +53,10 @@ class LPCounter:
         self.pivots = 0
 
 
-def _phase1(A, b, counter=None, sigma=None):
+def _phase1(A, b, counter=None, split=False):
     """Phase-I simplex for {A' x = b, x >= 0} with b >= 0 and integer data,
-    where A' is A, or [A | -A | diag(sigma)] when the per-row signs sigma
-    are given (free variables split into x+ and x-, and one slack per row).
+    where A' is A, or [A | -A | -I] when split (free variables split into
+    x+ and x-, and one surplus slack per row).
 
     Fraction-free integer pivoting: the tableau stays integral with a
     single positive denominator (the previous pivot), so every entry is an
@@ -70,12 +70,12 @@ def _phase1(A, b, counter=None, sigma=None):
     row's nonzero columns of the rows with f != 0 change; otherwise every
     row changes, one with f = 0 by rescaling.
 
-    Only [A | I_art | b] is stored.  The columns of -A and diag(sigma) stay
-    the negatives of A's columns and sigma_i times the artificial columns;
-    their reduced costs are -obj[j] and -sigma_i * (D - obj[art_i]), the
-    latter since an artificial's is D - D*y_i and a slack's -sigma_i*D*y_i
-    for the dual y.  Column indices (basis, Bland order, the returned x)
-    are those of the full-width system [A' | I_art | b].
+    Only [A | I_art | b] is stored.  The columns of -A and -I stay the
+    negatives of A's columns and of the artificial columns; their reduced
+    costs are -obj[j] and D - obj[art_i], the latter since an artificial's
+    is D - D*y_i and a slack's D*y_i for the dual y.  Column indices
+    (basis, Bland order, the returned x) are those of the full-width
+    system [A' | I_art | b].
 
     Returns (True, x) on feasibility or (False, y) with the dual vector y
     satisfying y . A'_j <= 0 for every column j and y . b > 0.
@@ -84,7 +84,7 @@ def _phase1(A, b, counter=None, sigma=None):
         counter.count += 1
     m = len(A)
     n = len(A[0]) if m else 0
-    full = n if sigma is None else 2 * n + m  # columns of A'
+    full = 2 * n + m if split else n  # columns of A'
     rhs = n + m
     # Integer tableau [A | I_art | b], denominator D = 1, basis = artificials.
     T = [list(map(int, A[i])) + [1 if k == i else 0 for k in range(m)] + [int(b[i])] for i in range(m)]
@@ -100,14 +100,14 @@ def _phase1(A, b, counter=None, sigma=None):
         # enters, with full-width index enter.
         s = 1
         col = enter = next((j for j in range(n) if obj[j] < 0), -1)
-        if col < 0 and sigma is not None:
+        if col < 0 and split:
+            # An x- column, then a slack; both mirror stored column col and
+            # have full-width index n + col.
             col = next((j for j in range(n) if obj[j] > 0), -1)
+            if col < 0:
+                col = next((j for j in range(n, rhs) if obj[j] > D), -1)
             if col >= 0:
                 s, enter = -1, n + col
-            else:
-                i = next((i for i in range(m) if sigma[i] * (obj[n + i] - D) < 0), -1)
-                if i >= 0:
-                    s, col, enter = sigma[i], n + i, 2 * n + i
         if col < 0:
             col = next((j for j in range(n, rhs) if obj[j] < 0), -1)
             if col < 0:
@@ -167,21 +167,18 @@ def _phase1(A, b, counter=None, sigma=None):
 
 
 def find_point(rows, rhs, counter=None):
-    """Exact rational x with rows . x >= rhs, or None.
+    """Exact rational x with rows . x >= rhs, or None; rhs >= 0.
 
-    Each row becomes the equation sign*(row . (x+ - x-) - s) = sign*t with
-    sign*t >= 0 and a slack s >= 0: the slack column is sigma = -sign times
-    the row's artificial column, so the kernel stores only the sign-scaled
-    rows.
+    Each row becomes the equation row . (x+ - x-) - s = t with a slack
+    s >= 0, so the kernel stores only the rows themselves.
     """
+    if any(t < 0 for t in rhs):
+        raise PreconditionError("find_point needs nonnegative right-hand sides")
     m = len(rows)
     if m == 0:
         return ()
     d = len(rows[0])
-    sign = [1 if t >= 0 else -1 for t in rhs]
-    A = [[s * v for v in row] for row, s in zip(rows, sign)]
-    b = [s * t for s, t in zip(sign, rhs)]
-    ok, res = _phase1(A, b, counter, [-s for s in sign])
+    ok, res = _phase1(rows, rhs, counter, split=True)
     if not ok:
         return None
     return tuple(res[j] - res[d + j] for j in range(d))

@@ -1,8 +1,11 @@
-"""The benchmark's workloads still build against the library.
+"""The benchmark's workloads still build against the library and run
+clean.
 
 perfbench/workloads.py imports library names directly and BENCHMARK.json
 names its workloads; a library refactor that renames or drops one of those
-names must fail here, not only when the benchmark is next run.
+names must fail here, not only when the benchmark is next run.  One pass
+of each workload at seed 1 must also give no wrong output and no failed
+op, which perfbench/run.py reports as "correct" and "failed".
 """
 
 import json
@@ -28,3 +31,13 @@ def test_workload_names_match_benchmark():
 def test_workload_sets_up(name):
     workload = workloads.WORKLOADS[name](1, spans.NullTracer())
     assert workload.name == name
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_one_pass_has_no_wrong_outputs_or_failed_ops(name):
+    tracer = spans.NullTracer()
+    workload = workloads.WORKLOADS[name](1, tracer)
+    rec = workloads.Recorder()
+    workload.run_pass(rec, tracer)
+    assert rec.attempted > 0
+    assert (rec.wrong, rec.failed) == (0, 0), rec.failures

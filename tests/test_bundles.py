@@ -5,13 +5,14 @@ import pytest
 
 from crepant.bundles import TautBundle, ghilb_taut
 from crepant.chambers import ChamberState, ClassTable, compute_chamber, cross_wall, ghilb_state
-from crepant.errors import InternalError, UserError
+from crepant.errors import InternalError, PreconditionError, UserError
 from crepant.fans import flip, star_surface
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, invariant_lattice_basis, parse_group
-from crepant.intlin import dot, solve3_int, sub
+from crepant.intlin import dot, sub
 from crepant.lp import LPCounter
 from ktheory_reference import theta_from_nontrivial
+from solve_reference import integral_solve
 
 GROUPS = ["1/2(1,0,1)", "1/3(1,1,1)", "1/6(1,2,3)", "1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]
 
@@ -88,7 +89,7 @@ def ref_degree(fan, per_tri, e):
 def ref_divisor_gens(fan, verts):
     r = fan.group.r
     return [
-        solve3_int([fan.vertices[i] for i in t], [-r if i in verts else 0 for i in t])
+        integral_solve([fan.vertices[i] for i in t], [-r if i in verts else 0 for i in t])
         for t in fan.triangles
     ]
 
@@ -335,6 +336,16 @@ def test_twist_identity_and_inverse():
     assert t2.twist([c], (0, 0, -1)).key == taut.key
 
 
+def test_twist_rejects_corner_vertices():
+    # The reducer pivots on the corner columns, so only a twist off the
+    # corners keeps the rows canonical without reducing them again.
+    g, gh, taut = setup("1/3(1,1,1)")
+    c = gh.fan.vindex[(1, 1, 1)]
+    corner = gh.fan.vindex[(3, 0, 0)]
+    with pytest.raises(PreconditionError, match="corner"):
+        taut.twist([c, corner], (0, 0, 1))
+
+
 def test_proper_transform_negates_flopped_degrees():
     g, gh, taut = setup("1/6(1,1,4)+1/2(1,0,1)")
     fan = gh.fan
@@ -420,7 +431,7 @@ def test_curve_class_pairing_invariant_under_canonicalization():
         for k, row in enumerate(taut.coeffs)
     ]
     assert raw != [list(row) for row in taut.coeffs]
-    assert TautBundle(g, fan, raw).key == taut.key
+    assert TautBundle.from_coeffs(g, fan, raw).key == taut.key
     theta = theta_from_nontrivial(g, [Fraction(k, 2) for k in (1, -3, 5, 7, -2)])
     for i, e in enumerate(fan.interior_edges):
         raw_class = [geo.edge_degrees(row)[i] + 1 for row in raw]

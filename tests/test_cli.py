@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 import zlib
 
 import pytest
@@ -43,6 +44,21 @@ def test_group_order_above_limit_is_a_cap():
     assert p.returncode == 2
     assert p.stderr == (
         f"cap exceeded: group order {r} exceeds the G-graph enumeration limit of {MAX_GROUP_ORDER}\n"
+    )
+    assert p.stdout == ""
+
+
+def test_too_many_compact_divisors_is_a_cap():
+    # 1/45(1,1,43) has 22 compact divisors: its G-Hilb fan is built, and the
+    # chamber stops before the 2^22 masks of the divisor-subset table
+    from crepant.fans import MAX_COMPACT_DIVISORS
+
+    start = time.perf_counter()
+    p = run_cli("chamber", "1/45(1,1,43)")
+    assert time.perf_counter() - start < 15
+    assert p.returncode == 2
+    assert p.stderr == (
+        f"cap exceeded: 22 compact divisors exceed the divisor-subset limit of {MAX_COMPACT_DIVISORS}\n"
     )
     assert p.stdout == ""
 

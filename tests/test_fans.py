@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from crepant.groups import Character, parse_group
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+from solve_reference import fraction_solve, in_basis  # noqa: E402
 from workloads import sweep_groups  # noqa: E402
 
 GROUPS = ["1/2(1,0,1)", "1/3(1,1,1)", "1/6(1,2,3)", "1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]
@@ -142,18 +144,23 @@ def test_star_surface_f4_on_1_11():
     assert sorted(s.selfint) == [-4, 0, 0, 4]
 
 
+def closure_fans():
+    """(spec, fan) for every fan in the flip closures of the sweep groups'
+    G-Hilb fans, of 1/11(1,2,8) and of 1/6(1,1,4)+1/2(1,0,1)."""
+    return [
+        (spec, fan)
+        for spec in sweep_groups() + ["1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]
+        for _, fan in sorted(flip_reachable_fans(fan_of(spec)[1]).items())
+    ]
+
+
 def test_star_wall_relation_exact():
     # The defining property of a star, on every interior vertex of every
     # fan in the flip closures: consecutive rays span a triangle with the
     # center, the rays are exactly its neighbours, and u_prev + u_next +
     # b_i u_i is an integer multiple of the center.
-    closures = [
-        (spec, fan)
-        for spec in sweep_groups() + ["1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]
-        for _, fan in sorted(flip_reachable_fans(fan_of(spec)[1]).items())
-    ]
     stars = 0
-    for spec, fan in closures:
+    for spec, fan in closure_fans():
         triangles = set(fan.triangles)
         for v in fan.interior_vertices():
             s = star_surface(fan, v)
@@ -173,6 +180,62 @@ def test_star_wall_relation_exact():
                 assert rem == 0 and combo == [m * x for x in c_v], (spec, v, i)
             stars += 1
     assert stars == 395  # interior vertices over all the closures' fans
+
+
+def test_triangle_solves_match_fraction_reference():
+    # Edge relations, star self-intersections and star-ray coordinates are
+    # read off the fans' per-triangle inverses; an independent rational
+    # solve of each defining relation must give the same integers.
+    edges = rays = 0
+    for spec, fan in closure_fans():
+        vert = fan.vertices
+        for e in fan.interior_edges:
+            # v1 + v2 + a w1 + b w2 = 0
+            w1, w2 = e.endpoints
+            v1, v2 = fan.opposite_vertices(e)
+            a, b, k = in_basis([vert[w1], vert[w2], vert[v1]], [-x for x in vert[v2]])
+            assert k == 1 and edge_relation(fan, e) == (a, b), (spec, e.endpoints)
+            edges += 1
+        geo = fan.geometry
+        for v in fan.interior_vertices():
+            star = geo.stars[v]
+            n = len(star.rays)
+            for i in range(n):
+                # u_prev + u_next + b_i u_i = m c
+                u_prev, u_i, u_next = (vert[star.rays[j % n]] for j in (i - 1, i, i + 1))
+                b, _, k = in_basis([u_i, vert[v], u_prev], [-x for x in u_next])
+                assert k == 1 and star.selfint[i] == b, (spec, v, i)
+            t, terms = geo._star_terms[v]
+            assert [u for u, _ in terms] == list(star.rays)
+            for u, alpha in terms:
+                assert alpha == in_basis([vert[w] for w in t], vert[u]), (spec, v, u)
+                rays += 1
+    assert (edges, rays) == (1490, 1851)  # over all the closures' fans
+
+
+def test_triangle_exponent_matches_fraction_reference():
+    # The exponent pairing to given values at a triangle's vertices, from
+    # the fan's inverse, is the rational solution when that is integral
+    # and None otherwise.
+    rng = random.Random(1)
+    hits = misses = 0
+    for spec in GROUPS:
+        g, fan = fan_of(spec)
+        for ti, t in enumerate(fan.triangles):
+            rows = [fan.vertices[i] for i in t]
+            for _ in range(20):
+                m = tuple(rng.randrange(-5, 6) for _ in range(3))
+                values = [sum(a * b for a, b in zip(m, row)) for row in rows]
+                if rng.random() < 0.5:
+                    values[rng.randrange(3)] += rng.randrange(1, g.r + 1)
+                x = fraction_solve(rows, values)
+                if all(a.denominator == 1 for a in x):
+                    assert fan.exponent(ti, values) == tuple(map(int, x))
+                    hits += 1
+                else:
+                    assert fan.exponent(ti, values) is None
+                    misses += 1
+    assert hits and misses
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ such wall of the sweep graphs and near the 1/11(1,2,8) G-Hilb chamber,
 and a property test checks that a twist is undone by the negated twist.
 """
 
+import functools
 import itertools
 import sys
 from collections import Counter
@@ -45,7 +46,13 @@ from crepant.report import state_from_token, state_token
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+from solve_reference import integral_solve  # noqa: E402
 from workloads import sweep_groups  # noqa: E402
+
+
+@functools.cache
+def sweep_graph(spec):
+    return enumerate_chambers(parse_group(spec))
 
 
 def pruned_outside_cone(ineqs, normals):
@@ -82,8 +89,7 @@ def within_two_crossings_of_ghilb_1_11():
 
 @pytest.mark.parametrize("spec", sweep_groups())
 def test_pruned_inequalities_are_implied_on_sweep_graphs(spec):
-    graph = enumerate_chambers(parse_group(spec))
-    for state, facets, _ in graph.nodes:
+    for state, facets, _ in sweep_graph(spec).nodes:
         _, witnesses = pruned_outside_cone(
             generate_inequalities(state), [f.normal for f in facets]
         )
@@ -132,7 +138,7 @@ def reference_twist_key(state, facet):
         [c + m * g.r if w in verts else c for w, c in enumerate(row)]
         for row, m in zip(state.taut.coeffs, mult)
     ]
-    return (state.fan.key, TautBundle(g, state.fan, coeffs).key)
+    return (state.fan.key, TautBundle.from_coeffs(g, state.fan, coeffs).key)
 
 
 def twist_walls():
@@ -140,7 +146,7 @@ def twist_walls():
     graphs and of the chambers within two crossings of the 1/11(1,2,8)
     G-Hilb chamber."""
     for spec in sweep_groups():
-        for state, facets, _ in enumerate_chambers(parse_group(spec)).nodes:
+        for state, facets, _ in sweep_graph(spec).nodes:
             yield from ((state, f) for f in facets)
     for state, chamber in within_two_crossings_of_ghilb_1_11():
         yield from ((state, f) for f in chamber.facets)
@@ -153,6 +159,34 @@ def test_twist_crossings_match_the_reference_rule():
             assert cross_wall(state, facet).key == reference_twist_key(state, facet)
             seen[facet.wall_type] += 1
     assert seen["0"] > 0 and seen["III"] > 0
+
+
+def test_crossed_rows_are_canonical():
+    # Crossings never reduce: a flop keeps the rows, and a twist moves no
+    # corner column, on which the principal reducer pivots.  So every
+    # state reached from G-Hilb holds rows the reducer leaves unchanged.
+    states = [s for spec in sweep_groups() for s, _, _ in sweep_graph(spec).nodes]
+    states += [s for s, _ in within_two_crossings_of_ghilb_1_11()]
+    for state in states:
+        reduce_row = state.group.principal_reducer
+        assert all(reduce_row(row) == row for row in state.taut.coeffs), state.key
+    assert len(states) == 2584 + 132
+
+
+def test_charts_match_fraction_reference_on_sweep_graphs():
+    # Every chart of every state of the sweep graphs, read through the
+    # fan's per-triangle inverse, is the rational solution of its pairing
+    # system, and that solution is integral.
+    charts = 0
+    for spec in sweep_groups():
+        for state, _, _ in sweep_graph(spec).nodes:
+            fan, taut = state.fan, state.taut
+            for ti, t in enumerate(fan.triangles):
+                rows = [fan.vertices[i] for i in t]
+                ref = tuple(integral_solve(rows, [-c[i] for i in t]) for c in taut.coeffs)
+                assert taut.chart(ti) == ref, (spec, state.key, t)
+                charts += 1
+    assert charts == 15_870
 
 
 def graph_summary(spec):
@@ -222,12 +256,13 @@ def test_random_walks_replay_tokens_and_undo_crossings(walk):
 @st.composite
 def divisor_twists(draw):
     """The G-Hilb bundle of a sweep group, 1/11(1,2,8) or
-    1/6(1,1,4)+1/2(1,0,1), a nonempty set of vertices and a multiplier
-    with 0 at the trivial character and entries in [-2, 2] elsewhere."""
+    1/6(1,1,4)+1/2(1,0,1), a nonempty set of non-corner vertices and a
+    multiplier with 0 at the trivial character and entries in [-2, 2]
+    elsewhere."""
     spec = draw(st.sampled_from(sweep_groups() + ["1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]))
     taut = ghilb_state(parse_group(spec)).taut
-    nv = len(taut.fan.vertices)
-    verts = draw(st.sets(st.integers(0, nv - 1), min_size=1))
+    kinds = taut.fan.vertex_kind
+    verts = draw(st.sets(st.sampled_from([w for w, k in enumerate(kinds) if k != "corner"]), min_size=1))
     r = taut.group.r
     mult = [0] + draw(st.lists(st.integers(-2, 2), min_size=r - 1, max_size=r - 1))
     return taut, verts, mult

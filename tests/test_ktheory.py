@@ -120,11 +120,8 @@ def test_divisor_curve_pairing_cross_module():
         table = ClassTable(ChamberState(g, fan, taut))
         geo = fan.geometry
         # restriction classes of each single divisor at the trivial character
-        od = {
-            vs[0]: subs[0]
-            for vs, subs, _ in table.subset_classes([g.char_index[g.trivial]])
-            if len(vs) == 1
-        }
+        k0 = g.char_index[g.trivial]
+        od = {vs[0]: subs[k0] for vs, subs, _ in table.subset_classes() if len(vs) == 1}
         for v in fan.interior_vertices():
             phi_od = od[v]
             for i, e in enumerate(fan.interior_edges):

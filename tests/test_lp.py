@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crepant.errors import PreconditionError
 from crepant.lp import LPCounter, _phase1, cone_membership, find_point
 
 
@@ -72,18 +74,15 @@ def reference_phase1(A, b, steps=None):
 
 
 def full_width(rows, rhs):
-    """The standard form of rows . x >= rhs written out in full: x = x+ - x-
-    and one slack per row, each row scaled by the sign of its rhs, so the
-    columns are [P | -P | diag(sigma)] with sigma_i = -sign_i."""
-    A, b = [], []
+    """The standard form of rows . x >= rhs (rhs >= 0) written out in full:
+    x = x+ - x- and one surplus slack per row, so the columns are
+    [P | -P | -I]."""
     m = len(rows)
-    for i, (row, t) in enumerate(zip(rows, rhs)):
-        sign = 1 if t >= 0 else -1
-        slack = [0] * m
-        slack[i] = -sign
-        A.append([sign * v for v in row] + [-sign * v for v in row] + slack)
-        b.append(sign * t)
-    return A, b
+    A = [
+        list(row) + [-v for v in row] + [-1 if k == i else 0 for k in range(m)]
+        for i, row in enumerate(rows)
+    ]
+    return A, list(rhs)
 
 
 def reference_find_point(rows, rhs):
@@ -204,16 +203,16 @@ def single_signed_cone_systems(draw):
 @st.composite
 def inequality_systems(draw):
     """Systems rows . x >= rhs in dimension d <= 4 with entries in [-3, 3]
-    and right-hand sides of both signs; half of them get the reverse of
-    one row with its bound raised by one, so they are infeasible."""
+    and positive right-hand sides, as chamber_cone asks; half of them get
+    the reverse of one row, so they are infeasible."""
     d = draw(st.integers(1, 4))
     row = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
     rows = draw(st.lists(row, min_size=1, max_size=6))
-    rhs = draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    rhs = draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
     if draw(st.booleans()):
         k = draw(st.integers(0, len(rows) - 1))
         rows.append([-v for v in rows[k]])
-        rhs.append(1 - rhs[k])
+        rhs.append(draw(st.integers(1, 4)))
     return rows, rhs
 
 
@@ -226,10 +225,7 @@ def test_find_point_matches_full_width_reference(system):
     assert counter.count == 1
     # The half-width kernel returns what the full-width one does, dual
     # vector of an infeasible system included.
-    sign = [1 if t >= 0 else -1 for t in rhs]
-    half = [[s * v for v in row] for row, s in zip(rows, sign)]
-    b = [s * t for s, t in zip(sign, rhs)]
-    assert _phase1(half, b, None, [-s for s in sign]) == reference_phase1(*full_width(rows, rhs))[0]
+    assert _phase1(rows, rhs, None, split=True) == reference_phase1(*full_width(rows, rhs))[0]
 
 
 def test_small_entry_systems_take_both_pivot_updates():
@@ -249,14 +245,16 @@ def test_small_entry_systems_take_both_pivot_updates():
 
 
 def test_find_point_matches_full_width_reference_on_fixed_systems():
-    # a tight rational point, negative right-hand sides, an infeasible pair
-    # and a system needing x+, x- and slack columns; x- columns enter in the
-    # first, second and fourth, slack columns in the first and fourth
+    # a tight rational point, a system needing x- and slack columns, a
+    # negative point, an infeasible pair and a system found infeasible
+    # after pivots; slack columns enter in the first and second, x- columns
+    # in the second and third
     for rows, rhs in [
-        ([(3, -1), (-3, 1), (1, 0)], [1, -1, 0]),
-        ([(1, 1), (-1, 0)], [-5, -2]),
-        ([(1,), (-1,)], [1, 0]),
-        ([(2, -1), (-1, 2), (1, 1)], [1, -3, 2]),
+        ([(2, -1), (-1, 2), (1, 1)], [1, 3, 2]),
+        ([(-2, 1), (1, -1), (-1, -3)], [1, 2, 1]),
+        ([(-1, 0), (0, -1)], [1, 1]),
+        ([(1,), (-1,)], [1, 1]),
+        ([(-1, 2), (3, -1), (-1, -1)], [1, 1, 2]),
     ]:
         counter = LPCounter()
         assert (find_point(rows, rhs, counter), counter.pivots) == reference_find_point(rows, rhs)
@@ -341,14 +339,14 @@ def test_find_point_simple():
 
 
 def test_find_point_infeasible():
-    # x >= 1 and -x >= 0
-    assert find_point([(1,), (-1,)], [1, 0]) is None
+    # x >= 1 and -x >= 1
+    assert find_point([(1,), (-1,)], [1, 1]) is None
 
 
 def test_find_point_negative_rhs():
-    x = find_point([(1, 1), (-1, 0)], [-5, -2])
-    assert x is not None
-    assert x[0] + x[1] >= -5 and -x[0] >= -2
+    # the kernel starts from b >= 0, so negative bounds are refused
+    with pytest.raises(PreconditionError):
+        find_point([(1, 1), (-1, 0)], [-5, -2])
 
 
 def test_cone_membership_inside():
@@ -393,7 +391,6 @@ def test_cone_membership_randomized():
 
 def test_exactness_fractions():
     # A system with a tight rational solution
-    x = find_point([(3, -1), (-3, 1), (1, 0)], [1, -1, 0])
-    assert x is not None
-    assert 3 * x[0] - x[1] == 1
-    assert isinstance(x[0], Fraction)
+    x = find_point([(2, -1), (-1, 2), (1, 1)], [1, 3, 2])
+    assert x == (Fraction(5, 3), Fraction(7, 3))
+    assert 2 * x[0] - x[1] == 1 and -x[0] + 2 * x[1] == 3
