@@ -3,7 +3,7 @@
 Run:  python3 demos/01_ghilb_basics.py
 """
 
-from crepant.fans import curve_degrees, line_ratio
+from crepant.fans import line_ratio
 from crepant.ggraphs import enumerate_ggraphs, ghilb_fan, socle
 from crepant.groups import parse_group
 
@@ -38,10 +38,14 @@ for t in fan.triangles:
     print("  triangle", tuple(fan.vertices[i] for i in t))
 
 print("\ninterior edges (curves of the resolution):")
+# The fan's geometry solves each compact curve's normal degrees (a, b),
+# with v1 + v2 + a*w1 + b*w2 = 0 for the edge (w1, w2) and the vertices
+# v1, v2 opposite it; the normal bundle is O(a) + O(b).
+geo = fan.geometry
 for e in fan.interior_edges:
     m1, m2, rho = line_ratio(fan, e, g)
     print(
         f"  {fan.vertices[e.endpoints[0]]} -- {fan.vertices[e.endpoints[1]]}"
-        f"   normal degrees {curve_degrees(fan, e)}, ratio {mono(m1)} : {mono(m2)}"
+        f"   normal degrees {tuple(sorted(geo.relation(e)))}, ratio {mono(m1)} : {mono(m2)}"
         f" (character {rho})"
     )

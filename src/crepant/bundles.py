@@ -14,9 +14,11 @@ the Laurent exponent pairing to minus the coefficients of its three
 vertices, solved on demand through the fan's inverse of that triangle and
 checked for integrality and character; degrees and star-surface
 restrictions are per-fan linear maps of the coefficients (the fan's
-geometry, a fans.FanGeometry).  The tautological bundle T_rho of the
-G-Hilbert scheme starts from its chart generators, the G-graph monomials
-of weight rho.
+geometry, a fans.FanGeometry).  A row's degrees on the compact curves
+come from one map, FanGeometry.edge_degrees, and the class of a curve's
+structure sheaf is one plus each row's degree on it.  The tautological
+bundle T_rho of the G-Hilbert scheme starts from its chart generators,
+the G-graph monomials of weight rho.
 
 Euler characteristics on star surfaces (integer Riemann-Roch on this data)
 and the R(G)-valued classes of restricted bundles are assembled in
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from .errors import InternalError, PreconditionError
 from .fans import Triangulation
-from .groups import Character, GroupSpec
+from .groups import GroupSpec
 from .intlin import dot
 
 Exponent = tuple[int, int, int]
@@ -44,7 +46,8 @@ class TautBundle:
     character's bundle, reduced to its canonical representative; these
     rows are the whole state.  Chart generators, degrees and restrictions
     are read off them: chart(ti) solves the generators on one triangle,
-    and the fan's geometry maps give degrees and star restrictions.
+    and the fan's geometry maps give degrees (edge_degrees) and star
+    restrictions.
     """
 
     def __init__(self, group: GroupSpec, fan: Triangulation, coeffs):
@@ -108,18 +111,9 @@ class TautBundle:
         charts = [self.chart(ti) for ti in range(len(self.fan.triangles))]
         return tuple(zip(*charts))
 
-    def degree(self, rho: Character, e) -> int:
-        """Degree of T_rho on the curve of an interior edge."""
-        row = self.coeffs[self.group.char_index[rho]]
-        return self.fan.geometry.edge_degree(e, row)
-
     @property
     def key(self):
         return self.coeffs
-
-    def curve_class(self, e):
-        """Class of the structure sheaf of an interior edge's curve."""
-        return tuple(self.degree(rho, e) + 1 for rho in self.group.characters)
 
     # -- wall-crossing updates ----------------------------------------------
 

@@ -225,29 +225,21 @@ def _two_term_sum(f, pool: set):
     return False
 
 
-def _foot_certificate(f, probes, candidates):
-    """Facet certificate without LP.  For each probe point e, the point
+def _foot_certificate(f, probe, candidates):
+    """Facet certificate without LP.  For the probe point e, the point
     q = (f.f) e - (f.e) f is (f.f) times the orthogonal projection of e
     onto the hyperplane {f = 0}, so it is integral and lies on that
-    hyperplane.  Returns True when some such q strictly satisfies every
-    other candidate, which certifies that f spans a facet."""
+    hyperplane.  Returns True when q strictly satisfies every other
+    candidate, which certifies that f spans a facet."""
     ff = sum(x * x for x in f)
-    for probe in probes:
-        fe = sum(a * b for a, b in zip(f, probe))
-        q = tuple(ff * e - fe * x for e, x in zip(probe, f))
-        if not any(q):
-            continue
-        ok = True
-        for g in candidates:
-            if g is f:
-                continue
-            s = sum(a * b for a, b in zip(g, q))
-            if s <= 0:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    fe = sum(a * b for a, b in zip(f, probe))
+    q = tuple(ff * e - fe * x for e, x in zip(probe, f))
+    if not any(q):
+        return False
+    for g in candidates:
+        if g is not f and sum(a * b for a, b in zip(g, q)) <= 0:
+            return False
+    return True
 
 
 def _facet_normals(prims, counter: LPCounter):
@@ -282,11 +274,11 @@ def _facet_normals(prims, counter: LPCounter):
     # undecided system would do, but any strictly-positive point works as
     # a heuristic; verification is exact either way.
     d = len(undecided[0])
-    probes = [tuple(sum(g[i] for g in undecided) for i in range(d))]
+    probe = tuple(sum(g[i] for g in undecided) for i in range(d))
     masks = sign_masks(undecided, d)
     kept = (1 << len(undecided)) - 1
     for j, f in enumerate(undecided):
-        if _foot_certificate(f, probes, undecided):
+        if _foot_certificate(f, probe, undecided):
             continue
         others = kept & ~(1 << j)
         ok, _ = cone_membership(f, undecided, counter, masks, others)

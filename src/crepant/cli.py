@@ -258,34 +258,34 @@ def cmd_quiver(args):
 
 
 def cmd_verify(args):
+    """Each check raises when it fails, so a report is written only when
+    every check has passed.  Wall classification raises on any wall
+    type other than 0, I and III, which is what no_type_II records."""
     from .quiver import check_diamond_cover, orbit_rep, two_dim_orbits
 
     g = parse_group(args.group)
-    checks = {}
     gh = ghilb_fan(g)
-    checks["fan_valid"] = True
-    m = marking(gh, g)
-    check_partition(gh, g, m)
-    checks["marking_partition"] = True
+    check_partition(gh, g, marking(gh, g))
     chamber = chambers.ghilb_chamber(g)
-    checks["ghilb_chamber_consistent"] = True
-    checks["facet_count"] = len(chamber.facets)
-    checks["no_type_II"] = all(f.wall_type in ("0", "I", "III") for f in chamber.facets)
     state = chamber.state
     for tri, vert in two_dim_orbits(state):
         check_diamond_cover(orbit_rep(state, tri, vert))
-    checks["quiver_invariants"] = True
+    checks = {
+        "fan_valid": True,
+        "marking_partition": True,
+        "ghilb_chamber_consistent": True,
+        "facet_count": len(chamber.facets),
+        "no_type_II": True,
+        "quiver_invariants": True,
+    }
     rep = {
         "schema": report.SCHEMA,
         "command": "verify",
         "group": report.group_report(g),
         "checks": checks,
-        "ok": all(v is not False for v in checks.values()),
+        "ok": True,
     }
     _emit(rep, args)
-    if not rep["ok"]:
-        failed = ", ".join(k for k, v in checks.items() if v is False)
-        raise InternalError(f"self-check failed: {failed}")
 
 
 _COMMANDS = {

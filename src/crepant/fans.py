@@ -15,10 +15,12 @@ per-triangle inverses serve every exact solve in a triangle's basis: edge
 relations, star self-intersections, star-ray coordinates and chart
 generators.  Everything a line bundle's invariants need besides the bundle
 itself is that object's geometry attribute, a FanGeometry built on first
-use: star surfaces, incidence tables, the two linear maps that read curve
-degrees and star restrictions off a bundle's r-scaled ray coefficients,
-and the table of connected compact-divisor subsets over which the chamber
-inequalities are assembled.
+use: one table per compact curve (its edge's opposite vertices and normal
+degrees, solved once), star surfaces, incidence tables, the two linear
+maps that read curve degrees and star restrictions off a bundle's r-scaled
+ray coefficients, and the table of connected compact-divisor subsets over
+which the chamber inequalities are assembled.  Flips and wall
+classification read the curve table too.
 """
 
 from __future__ import annotations
@@ -142,14 +144,6 @@ class Triangulation:
         except KeyError:
             raise UserError(f"no edge {key} in this triangulation") from None
 
-    def opposite_vertices(self, e: Edge) -> tuple[int, ...]:
-        """For each adjacent triangle, the vertex opposite e."""
-        out = []
-        for ti in e.triangles:
-            t = self.triangles[ti]
-            out.append(next(i for i in t if i not in e.endpoints))
-        return tuple(out)
-
     def triangles_at_vertex(self, v: int) -> tuple[int, ...]:
         return tuple(ti for ti, t in enumerate(self.triangles) if v in t)
 
@@ -169,43 +163,36 @@ class Triangulation:
         return solve3(self.inverses[ti], values)
 
 
-def edge_relation(t: Triangulation, e: Edge) -> tuple[int, int]:
-    """Integers (a, b) with v1 + v2 + a*w1 + b*w2 = 0 in N, in endpoint order.
+def _curve(t: Triangulation, e: Edge) -> tuple:
+    """(v1, v2, w1, w2, a, b) for an interior edge, with v1 + v2 + a*w1 +
+    b*w2 = 0 in N.
 
-    Here (w1, w2) = e.endpoints and v1, v2 are the opposite vertices of the
-    two adjacent triangles, so v2 has coordinates (-1, -a, -b) in the
-    basis (v1, w1, w2) of the first.  The normal bundle of the edge's curve
-    is O(a) + O(b) and crepancy forces a + b = -2.
+    Here (w1, w2) = e.endpoints and v1, v2 are the vertices opposite e in
+    its two triangles, so v2 has coordinates (-1, -a, -b) in the basis
+    (v1, w1, w2) of the first.  The normal bundle of the edge's curve is
+    O(a) + O(b) and crepancy forces a + b = -2.
     """
-    if not e.interior:
-        raise DegenerateEdgeError(f"edge {e.endpoints} is a boundary edge")
     w1, w2 = e.endpoints
-    v1, v2 = t.opposite_vertices(e)
+    v1, v2 = (next(i for i in t.triangles[ti] if i not in e.endpoints) for ti in e.triangles)
     alpha = t.coords(e.triangles[0], v2)
     if alpha[v1] != -1:
         raise InternalError(f"no integral relation at edge {e.endpoints}")
     a, b = -alpha[w1], -alpha[w2]
     if a + b != -2:
         raise InternalError(f"edge {e.endpoints} violates crepancy: a+b = {a + b}")
-    return a, b
-
-
-def curve_degrees(t: Triangulation, e: Edge) -> tuple[int, int]:
-    """Normal degrees (a, b) of the curve of an interior edge, sorted a <= b."""
-    a, b = edge_relation(t, e)
-    return (a, b) if a <= b else (b, a)
+    return v1, v2, w1, w2, a, b
 
 
 def flip(t: Triangulation, e: Edge) -> Triangulation:
     """Flip a (-1,-1) edge: exchange the diagonal of its quadrilateral.
     The flipped fan is the one object of its key (see Triangulation)."""
-    a, b = edge_relation(t, e)
-    if (a, b) != (-1, -1):
+    geo = t.geometry
+    degrees = geo.relation(e)
+    if degrees != (-1, -1):
         raise InvalidFlipError(
-            f"edge {e.endpoints} has degrees {tuple(sorted((a, b)))}, not (-1,-1)"
+            f"edge {e.endpoints} has degrees {tuple(sorted(degrees))}, not (-1,-1)"
         )
-    w1, w2 = e.endpoints
-    v1, v2 = t.opposite_vertices(e)
+    v1, v2, w1, w2 = geo.curves[geo.edge_idx[e.endpoints]][:4]
     tris = [list(tr) for ti, tr in enumerate(t.triangles) if ti not in e.triangles]
     tris.append([v1, v2, w1])
     tris.append([v1, v2, w2])
@@ -305,8 +292,9 @@ def flip_reachable_fans(t0: Triangulation, cap: int = 100_000) -> dict:
     while frontier:
         nxt = []
         for t in frontier:
+            geo = t.geometry
             for e in t.interior_edges:
-                if curve_degrees(t, e) != (-1, -1):
+                if geo.relation(e) != (-1, -1):
                     continue
                 t2 = flip(t, e)
                 if t2.key not in seen:
@@ -343,10 +331,13 @@ class FanGeometry:
     compact-divisor subsets.  It is built once per fan key, as the
     geometry attribute of the fan's one Triangulation object.
 
-    A row c lists, per vertex, r times the coefficient of a line bundle's
-    torus-invariant divisor.  Its degree on the curve of an interior edge
-    is (c[v1] + c[v2] + a*c[w1] + b*c[w2]) / r, from the edge relation
-    v1 + v2 + a*w1 + b*w2 = 0.  Its restriction to the star surface of an
+    Each compact curve, the curve of an interior edge (w1, w2), has one
+    entry (v1, v2, w1, w2, a, b) in curves, in interior-edge order: the
+    vertices v1, v2 opposite the edge and its relation v1 + v2 + a*w1 +
+    b*w2 = 0, solved once when the geometry is built.  A row c lists, per
+    vertex, r times the coefficient of a line bundle's torus-invariant
+    divisor; its degree on the curve is (c[v1] + c[v2] + a*c[w1] +
+    b*c[w2]) / r.  Its restriction to the star surface of an
     interior vertex v is normalised to vanish on a base chart t at v: a ray
     u = sum alpha_i t_i (integer alpha, as t is basic) gets coefficient
     (c[u] - sum alpha_i c[t_i]) / r.  Both maps raise when r does not
@@ -365,10 +356,7 @@ class FanGeometry:
         self.edges_at = {
             v: tuple(e for e in self.edges if v in e.endpoints) for v in self.interior
         }
-        self._edge_terms = [
-            fan.opposite_vertices(e) + e.endpoints + edge_relation(fan, e)
-            for e in self.edges
-        ]
+        self.curves = tuple(_curve(fan, e) for e in self.edges)
         self._star_terms = {}
         for v in self.interior:
             ti = fan.triangles_at_vertex(v)[0]
@@ -459,24 +447,23 @@ class FanGeometry:
         return ntri - len(inside), q_total - ediv
 
     def edge_degrees(self, row) -> list:
-        """Degrees of the bundle with coefficient row on every interior
-        edge's curve, in interior-edge order."""
-        return [self._degree(terms, row) for terms in self._edge_terms]
+        """Degrees of the bundle with coefficient row on every compact
+        curve, in interior-edge order."""
+        r = self.r
+        out = []
+        for v1, v2, w1, w2, a, b in self.curves:
+            d, rem = divmod(row[v1] + row[v2] + a * row[w1] + b * row[w2], r)
+            if rem:
+                raise InternalError("non-integral degree; coefficients are not a bundle")
+            out.append(d)
+        return out
 
     def relation(self, e: Edge) -> tuple[int, int]:
-        """The edge relation (a, b) of an interior edge (edge_relation)."""
-        return self._edge_terms[self.edge_idx[e.endpoints]][4:]
-
-    def edge_degree(self, e: Edge, row) -> int:
-        """Degree of the bundle with coefficient row on one interior edge."""
-        return self._degree(self._edge_terms[self.edge_idx[e.endpoints]], row)
-
-    def _degree(self, terms, row) -> int:
-        v1, v2, w1, w2, a, b = terms
-        d, rem = divmod(row[v1] + row[v2] + a * row[w1] + b * row[w2], self.r)
-        if rem:
-            raise InternalError("non-integral degree; coefficients are not a bundle")
-        return d
+        """The relation (a, b) of an interior edge, in endpoint order: its
+        curve's normal bundle is O(a) + O(b)."""
+        if not e.interior:
+            raise DegenerateEdgeError(f"edge {e.endpoints} is a boundary edge")
+        return self.curves[self.edge_idx[e.endpoints]][4:]
 
     def restrict_to_star(self, v: int, row) -> tuple[int, ...]:
         """Ray coefficients, in the star's cyclic ray order, of the bundle

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import CapError, InternalError
+from .errors import InternalError
 from .fans import Triangulation
 from .groups import Character, GroupSpec
 from .intlin import det3, dot
@@ -21,12 +21,6 @@ from .intlin import det3, dot
 Exponent = tuple[int, int, int]
 
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-# Largest group order whose G-graphs are enumerated.  The search grows fast
-# with the order and depends on the weights: `crepant ghilb` took 3.7 s on
-# 1/64(1,1,62), 54 s on 1/64(1,2,61), 20 s on 1/100(1,1,98) and more than
-# 60 s on 1/100(1,2,97) (2-vCPU host).
-MAX_GROUP_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -62,12 +56,8 @@ def enumerate_ggraphs(g: GroupSpec) -> list[GGraph]:
     A monomial may join a partial set when its immediate divisors are
     already members and its character is still free.  States are memoised
     on the member set, so each division-closed set is expanded once.
-    Groups of order above MAX_GROUP_ORDER raise CapError first.
+    The group's order is at most groups.MAX_GROUP_ORDER (see GroupSpec).
     """
-    if g.r > MAX_GROUP_ORDER:
-        raise CapError(
-            f"group order {g.r} exceeds the G-graph enumeration limit of {MAX_GROUP_ORDER}"
-        )
     root = frozenset({(0, 0, 0)})
     seen = {root}
     frontier = [root]

@@ -20,12 +20,19 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .errors import GroupParseError, GroupValidationError
+from .errors import CapError, GroupParseError, GroupValidationError
 from .intlin import det3, dot, hnf_rows, integer_kernel
 
 Exponent = tuple[int, int, int]
+
+# Largest group order accepted.  The G-graph search grows fast with the
+# order and depends on the weights: `crepant ghilb` took 3.7 s on
+# 1/64(1,1,62), 54 s on 1/64(1,2,61), 20 s on 1/100(1,1,98) and more than
+# 60 s on 1/100(1,2,97) (2-vCPU host).  The order is checked before any
+# character is built, so a huge order costs nothing.
+MAX_GROUP_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,8 @@ class GroupSpec:
     There is one object per reduced factor tuple: construction returns the
     group already built for the tuple, so identity is equality, and the
     per-group data (junior points, principal reducer) is kept on that one
-    object.  Unpickling goes through the constructor as well.
+    object.  Unpickling goes through the constructor as well.  Orders
+    above MAX_GROUP_ORDER raise CapError before anything is built.
     """
 
     _interned: dict = {}
@@ -70,15 +78,19 @@ class GroupSpec:
                 )
             cleaned.append((order, w))
         key = tuple(cleaned)
+        orders = tuple(order for order, _ in key)
+        r = prod(orders)
+        if r > MAX_GROUP_ORDER:
+            raise CapError(
+                f"group order {r} exceeds the G-graph enumeration limit of {MAX_GROUP_ORDER}"
+            )
         self = cls._interned.get(key)
         if self is not None:
             return self
         self = super().__new__(cls)
         self.factors = key
-        self.r = 1
-        for order, _ in self.factors:
-            self.r *= order
-        self.orders = tuple(order for order, _ in self.factors)
+        self.r = r
+        self.orders = orders
         # Coordinate weights: weight of x, y, z as characters.
         self.coord_weights = tuple(
             Character(tuple(w[i] % n for n, w in self.factors)) for i in range(3)

@@ -18,7 +18,7 @@ from functools import cache
 from .bundles import TautBundle
 from .chambers import Chamber, ChamberState
 from .errors import UserError
-from .fans import Triangulation, curve_degrees, line_ratio
+from .fans import Triangulation, line_ratio
 from .groups import GroupSpec, parse_group
 from .intlin import primitive
 
@@ -75,13 +75,14 @@ def group_report(g: GroupSpec) -> dict:
 
 
 def fan_report(fan: Triangulation, g: GroupSpec) -> dict:
+    geo = fan.geometry
     edges = []
     for e in fan.interior_edges:
         m1, m2, rho = line_ratio(fan, e, g)
         edges.append(
             {
                 "endpoints": list(e.endpoints),
-                "degrees": list(curve_degrees(fan, e)),
+                "degrees": sorted(geo.relation(e)),
                 "ratio": [list(m1), list(m2)],
                 "ratio_character": list(rho.index),
             }
@@ -114,16 +115,14 @@ def monomial_str(e) -> str:
 def taut_report(taut) -> dict:
     """Chart generators and interior-edge degrees of every tautological
     line bundle."""
-    g = taut.group
-    fan = taut.fan
-    gens = taut.gens
-    out = {}
-    for k, rho in enumerate(g.characters):
-        out[char_label(rho)] = {
-            "generators": [monomial_str(m) for m in gens[k]],
-            "edge_degrees": [taut.degree(rho, e) for e in fan.interior_edges],
+    geo = taut.fan.geometry
+    return {
+        char_label(rho): {
+            "generators": [monomial_str(m) for m in gens],
+            "edge_degrees": geo.edge_degrees(row),
         }
-    return out
+        for rho, gens, row in zip(taut.group.characters, taut.gens, taut.coeffs)
+    }
 
 
 def marking_report(marking) -> dict:
@@ -185,10 +184,12 @@ def curve_labels(state: ChamberState) -> dict:
     """Label curve-wall normals in the style f_k, with k the index of the
     character marking the contracted line."""
     g = state.group
+    geo = state.fan.geometry
     out = {}
-    for e in state.fan.interior_edges:
-        cc = state.taut.curve_class(e)
-        func = tuple(cc[i] - cc[0] for i in range(1, len(cc)))
+    # Per compact curve, every character's degree on it: the curve's class
+    # less one, so the class functional c[k] - c[0] is d[k] - d[0].
+    for e, degrees in zip(geo.edges, zip(*map(geo.edge_degrees, state.taut.coeffs))):
+        func = tuple(d - degrees[0] for d in degrees[1:])
         if not any(func):
             continue
         _, _, rho = line_ratio(state.fan, e, g)

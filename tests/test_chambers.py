@@ -27,6 +27,7 @@ from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, invariant_lattice_basis, parse_group
 from crepant.intlin import dot, primitive
 from crepant.lp import LPCounter, cone_membership
+from curves import opposite_vertices
 
 
 def normals(chamber):
@@ -197,8 +198,8 @@ def test_facet_normals_match_reference_on_hand_built_cones():
     # e1 is certified a facet with no LP by the foot point on {x1 = 0}
     undecided = [e1, e2, e3, e4, (0, 1, 1, 1)]
     probe = tuple(map(sum, zip(*undecided)))
-    assert _foot_certificate(e1, [probe], undecided)
-    assert not _foot_certificate((0, 1, 1, 1), [probe], undecided)
+    assert _foot_certificate(e1, probe, undecided)
+    assert not _foot_certificate((0, 1, 1, 1), probe, undecided)
 
 
 @st.composite
@@ -447,7 +448,7 @@ def test_type_i_crossing_solves_only_new_charts(spec, monkeypatch):
         # the new charts are checked: a coefficient off by one at a vertex
         # opposite a flopped edge (a vertex of both new triangles) is caught
         for endpoints in facet.contracted:
-            for v in s0.fan.opposite_vertices(s0.fan.edge(*endpoints)):
+            for v in opposite_vertices(s0.fan, s0.fan.edge(*endpoints)):
                 coeffs = [list(row) for row in s0.taut.coeffs]
                 coeffs[1][v] += 1  # row 0 is the trivial character's
                 with pytest.raises(InternalError):

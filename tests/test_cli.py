@@ -1,5 +1,4 @@
 import base64
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -37,7 +36,7 @@ def test_ghilb_command_counts():
 
 def test_group_order_above_limit_is_a_cap():
     # checked before any G-graph is enumerated; the group itself is small
-    from crepant.ggraphs import MAX_GROUP_ORDER
+    from crepant.groups import MAX_GROUP_ORDER
 
     r = MAX_GROUP_ORDER + 1
     p = run_cli("ghilb", f"1/{r}(1,1,{r - 2})")
@@ -45,6 +44,17 @@ def test_group_order_above_limit_is_a_cap():
     assert p.stderr == (
         f"cap exceeded: group order {r} exceeds the G-graph enumeration limit of {MAX_GROUP_ORDER}\n"
     )
+    assert p.stdout == ""
+
+
+def test_huge_group_order_is_a_cap_before_any_character():
+    # the order is checked when the spec is parsed, before the million
+    # characters of this group would be built
+    start = time.perf_counter()
+    p = run_cli("ghilb", "1/1000000(1,1,999998)")
+    assert time.perf_counter() - start < 2
+    assert p.returncode == 2
+    assert p.stderr.startswith("cap exceeded: group order 1000000 exceeds")
     assert p.stdout == ""
 
 
@@ -341,25 +351,19 @@ def test_verify_command():
 
 
 def test_verify_fails_on_type_ii_wall(monkeypatch, capsys):
-    # isinstance(False, int) holds, so a failed boolean check must not be
-    # read as a count
-    from crepant import chambers, cli
+    # Wall classification raises on a contracted curve whose normal
+    # degrees are neither (-1,-1) nor (-2,0), so verify writes no report
+    # and exits 3 when a wall of the chamber contracts one.
+    from crepant import cli
+    from crepant.fans import FanGeometry
 
-    real = chambers.ghilb_chamber
-
-    def with_type_ii(g, *args, **kwargs):
-        chamber = real(g, *args, **kwargs)
-        facet = dataclasses.replace(chamber.facets[0], wall_type="II")
-        return dataclasses.replace(chamber, facets=[facet])
-
-    monkeypatch.setattr(chambers, "ghilb_chamber", with_type_ii)
+    monkeypatch.setattr(FanGeometry, "relation", lambda self, e: (-3, 1))
     assert cli.main(["verify", "1/6(1,2,3)"]) == 3
     out, err = capsys.readouterr()
-    rep = json.loads(out)
-    assert rep["checks"]["no_type_II"] is False
-    assert rep["checks"]["facet_count"] == 1
-    assert rep["ok"] is False
-    assert "no_type_II" in err
+    assert out == ""
+    assert err.startswith(
+        "internal invariant violation: wall contracts a curve with degrees (-3, 1)"
+    )
 
 
 def test_memory_error_is_a_cap(monkeypatch, capsys):

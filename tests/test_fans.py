@@ -1,20 +1,16 @@
+import json
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from crepant.errors import DegenerateEdgeError, InvalidFlipError
-from crepant.fans import (
-    curve_degrees,
-    edge_relation,
-    flip,
-    flip_reachable_fans,
-    line_ratio,
-    star_surface,
-)
+from crepant.fans import flip, flip_reachable_fans, line_ratio, star_surface
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
+from curves import normal_degrees, opposite_vertices
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -34,34 +30,34 @@ def test_curve_degrees_1_3():
     c = fan.vindex[(1, 1, 1)]
     e3 = fan.vindex[(0, 0, 3)]
     e = fan.edge(c, e3)
-    assert curve_degrees(fan, e) == (-3, 1)
+    assert normal_degrees(fan, e) == (-3, 1)
 
 
 def test_curve_degrees_parallelogram_and_collinear():
     g, fan = fan_of("1/6(1,1,4)+1/2(1,0,1)")
     # l1 from the figure: a (-1,-1) parallelogram
     e = fan.edge(fan.vindex[(2, 2, 8)], fan.vindex[(8, 2, 2)])
-    assert curve_degrees(fan, e) == (-1, -1)
+    assert normal_degrees(fan, e) == (-1, -1)
     # 1/2(1,0,1): v1 + v2 = 2 w for the unique interior edge: (-2, 0)
     g2, fan2 = fan_of("1/2(1,0,1)")
     (e2,) = fan2.interior_edges
-    assert curve_degrees(fan2, e2) == (-2, 0)
+    assert normal_degrees(fan2, e2) == (-2, 0)
 
 
 def test_crepancy_sum_rule():
     for spec in GROUPS:
         g, fan = fan_of(spec)
         for e in fan.interior_edges:
-            a, b = edge_relation(fan, e)
+            a, b = fan.geometry.relation(e)
             assert a + b == -2
-            assert curve_degrees(fan, e)[0] < 2  # sorted first entry
+            assert normal_degrees(fan, e)[0] < 2  # sorted first entry
 
 
 def test_boundary_edge_rejected():
     g, fan = fan_of("1/3(1,1,1)")
     boundary = next(e for e in fan.edges if not e.interior)
     with pytest.raises(DegenerateEdgeError):
-        edge_relation(fan, boundary)
+        fan.geometry.relation(boundary)
     with pytest.raises(DegenerateEdgeError):
         line_ratio(fan, boundary, g)
 
@@ -69,7 +65,7 @@ def test_boundary_edge_rejected():
 def test_flip_involution_and_invalid():
     g, fan = fan_of("1/6(1,1,4)+1/2(1,0,1)")
     e = fan.edge(fan.vindex[(2, 2, 8)], fan.vindex[(8, 2, 2)])
-    v1, v2 = fan.opposite_vertices(e)
+    v1, v2 = opposite_vertices(fan, e)
     fan2 = flip(fan, e)
     assert fan2.key != fan.key
     assert len(fan2.triangles) == g.r
@@ -84,7 +80,7 @@ def test_flip_involution_and_invalid():
 def test_flip_preserves_vertex_set_and_unimodularity():
     g, fan = fan_of("1/11(1,2,8)")
     for e in list(fan.interior_edges):
-        if curve_degrees(fan, e) == (-1, -1):
+        if normal_degrees(fan, e) == (-1, -1):
             fan2 = flip(fan, e)  # constructor validates everything
             assert fan2.vertices == fan.vertices
 
@@ -126,7 +122,7 @@ def test_flop_marks_1_11():
     g, fan = fan_of("1/11(1,2,8)")
     marks = set()
     for e in fan.interior_edges:
-        if curve_degrees(fan, e) == (-1, -1):
+        if normal_degrees(fan, e) == (-1, -1):
             marks.add(line_ratio(fan, e, g)[2])
     assert marks == {Character((1,)), Character((5,)), Character((6,))}
 
@@ -185,18 +181,23 @@ def test_star_wall_relation_exact():
 def test_triangle_solves_match_fraction_reference():
     # Edge relations, star self-intersections and star-ray coordinates are
     # read off the fans' per-triangle inverses; an independent rational
-    # solve of each defining relation must give the same integers.
+    # solve of each defining relation must give the same integers.  The
+    # opposite vertices of an edge are read off the triangles here.
     edges = rays = 0
     for spec, fan in closure_fans():
         vert = fan.vertices
-        for e in fan.interior_edges:
+        geo = fan.geometry
+        for e in fan.edges:
+            if not e.interior:
+                with pytest.raises(DegenerateEdgeError):
+                    geo.relation(e)
+                continue
             # v1 + v2 + a w1 + b w2 = 0
             w1, w2 = e.endpoints
-            v1, v2 = fan.opposite_vertices(e)
+            v1, v2 = opposite_vertices(fan, e)
             a, b, k = in_basis([vert[w1], vert[w2], vert[v1]], [-x for x in vert[v2]])
-            assert k == 1 and edge_relation(fan, e) == (a, b), (spec, e.endpoints)
+            assert k == 1 and geo.relation(e) == (a, b), (spec, e.endpoints)
             edges += 1
-        geo = fan.geometry
         for v in fan.interior_vertices():
             star = geo.stars[v]
             n = len(star.rays)
@@ -253,7 +254,7 @@ def test_flip_reachable_1_11():
     g, fan = fan_of("1/11(1,2,8)")
     fans = flip_reachable_fans(fan)
     assert len(fans) == 5
-    flops = [e for e in fan.interior_edges if curve_degrees(fan, e) == (-1, -1)]
+    flops = [e for e in fan.interior_edges if normal_degrees(fan, e) == (-1, -1)]
     assert len(flops) == 3
     vset = set()
     for e in flops:
@@ -261,3 +262,60 @@ def test_flip_reachable_1_11():
     assert len(vset) == 3  # the curves pairwise share their endpoints
     central = tuple(sorted(vset))
     assert central in fan.triangles
+
+
+# Enumerates the chamber graph and the flip closure of each group named in
+# argv[1], twice.  Prints, per round, every relation solve as (group, fan
+# key, edge endpoints) and the number of FanGeometry builds, and the
+# interior edges of every closure fan in the same form.
+_COUNT_SOLVES = """
+import json, sys
+from crepant import fans
+from crepant.chambers import enumerate_chambers
+from crepant.ggraphs import ghilb_fan
+from crepant.groups import parse_group
+
+solved, built = [], []
+curve, init = fans._curve, fans.FanGeometry.__init__
+
+def counting_curve(t, e):
+    solved.append((str(t.group), t.key, e.endpoints))
+    return curve(t, e)
+
+def counting_init(self, fan):
+    built.append(fan)
+    init(self, fan)
+
+fans._curve, fans.FanGeometry.__init__ = counting_curve, counting_init
+rounds, edges = [], []
+for _ in range(2):
+    solved.clear()
+    built.clear()
+    edges.clear()
+    for spec in json.loads(sys.argv[1]):
+        g = parse_group(spec)
+        graph = enumerate_chambers(g)
+        closure = fans.flip_reachable_fans(ghilb_fan(g).fan)
+        assert graph.fans() == set(closure), spec
+        edges += [(spec, k, e.endpoints) for k, t in closure.items() for e in t.interior_edges]
+    rounds.append({"solved": sorted(solved), "built": len(built)})
+print(json.dumps({"rounds": rounds, "edges": sorted(edges)}))
+"""
+
+
+def test_relations_solved_once_per_fan():
+    # Every fan that the chamber enumeration and the flip closure touch has
+    # its geometry built once, and each of its edge relations solved once
+    # there: flips and wall classification read them.  A fresh interpreter
+    # starts with no fan built.
+    p = subprocess.run(
+        [sys.executable, "-c", _COUNT_SOLVES, json.dumps(sweep_groups())],
+        capture_output=True,
+        text=True,
+    )
+    assert p.returncode == 0, p.stderr
+    out = json.loads(p.stdout)
+    first, second = out["rounds"]
+    assert first == {"solved": out["edges"], "built": 38}  # the 38 closure fans
+    assert len(out["edges"]) == 215
+    assert second == {"solved": [], "built": 0}

@@ -46,6 +46,7 @@ from crepant.report import state_from_token, state_token
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+from curves import bundle_degrees  # noqa: E402
 from solve_reference import integral_solve  # noqa: E402
 from workloads import sweep_groups  # noqa: E402
 
@@ -126,10 +127,7 @@ def reference_twist_key(state, facet):
         verts = set(facet.divisor)
     else:
         fibers = [state.fan.edge(*ep) for ep in facet.contracted]
-        degrees = []
-        for rho in g.characters:
-            (d,) = {state.taut.degree(rho, e) for e in fibers}
-            degrees.append(d)
+        (degrees,) = {bundle_degrees(state.taut, e) for e in fibers}
         sign = 1 if set(degrees) <= {0, 1} else -1
         assert set(degrees) <= {0, sign}
         mult = [sign if d == sign else 0 for d in degrees]

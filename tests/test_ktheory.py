@@ -5,6 +5,7 @@ from crepant.bundles import ghilb_taut
 from crepant.chambers import ChamberState, ClassTable
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
+from curves import curve_class, normal_degrees
 from ktheory_reference import (
     compact_pairing,
     pairing_table,
@@ -125,7 +126,7 @@ def test_divisor_curve_pairing_cross_module():
         for v in fan.interior_vertices():
             phi_od = od[v]
             for i, e in enumerate(fan.interior_edges):
-                phi_ol = taut.curve_class(e)
+                phi_ol = curve_class(taut, e)
                 assert compact_pairing(g, phi_od, phi_ol) == -geo.div_edge_deg[v][i]
 
 
@@ -136,11 +137,11 @@ def test_theta_pairing_of_flop_curve_classes():
     theta = theta_from_nontrivial(
         g, [Fraction(k, 3) for k in range(1, g.r)]
     )
-    from crepant.fans import curve_degrees, line_ratio
+    from crepant.fans import line_ratio
 
     for e in gh.fan.interior_edges:
-        if curve_degrees(gh.fan, e) == (-1, -1):
+        if normal_degrees(gh.fan, e) == (-1, -1):
             _, _, rho = line_ratio(gh.fan, e, g)
             if rho == Character((6,)):
                 # the rho6-marked flop curve pairs to theta6 alone
-                assert theta_pairing(theta, taut.curve_class(e)) == theta.values[6]
+                assert theta_pairing(theta, curve_class(taut, e)) == theta.values[6]

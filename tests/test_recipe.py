@@ -1,10 +1,11 @@
 import pytest
 
 from crepant.bundles import ghilb_taut
-from crepant.fans import curve_degrees, star_surface
+from crepant.fans import star_surface
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
 from crepant.recipe import check_partition, is_del_pezzo6_vertex, mark_divisors, mark_lines, marking
+from curves import bundle_degrees, normal_degrees
 
 GROUPS = ["1/2(1,0,1)", "1/3(1,1,1)", "1/6(1,2,3)", "1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]
 
@@ -30,17 +31,16 @@ def test_line_marks_1_11():
     flop_marks = set()
     fiber_marks = set()
     for e in gh.fan.interior_edges:
-        d = curve_degrees(gh.fan, e)
+        d = normal_degrees(gh.fan, e)
         if d == (-1, -1):
             flop_marks.add(lines[e.endpoints])
         # the F4 fibers: edges at (1,2,8) with vanishing far coefficient
     assert flop_marks == {Character((1,)), Character((5,)), Character((6,))}
-    from crepant.fans import edge_relation
 
     v128 = gh.fan.vindex[(1, 2, 8)]
     for e in gh.fan.interior_edges:
         if v128 in e.endpoints:
-            a, b = edge_relation(gh.fan, e)
+            a, b = gh.fan.geometry.relation(e)
             far_is_zero = (b == 0 and e.endpoints[0] == v128) or (
                 a == 0 and e.endpoints[1] == v128
             )
@@ -97,12 +97,10 @@ def test_marking_uniqueness_on_divisors(spec):
     taut = ghilb_taut(g, gh)
     fan = gh.fan
     for v, marks in mark_divisors(gh, g).items():
-        edges = [e for e in fan.interior_edges if v in e.endpoints]
+        degrees = [bundle_degrees(taut, e) for e in fan.interior_edges if v in e.endpoints]
         for rho in marks:
             for sigma in g.characters:
-                same = all(
-                    taut.degree(sigma, e) == taut.degree(rho, e) for e in edges
-                )
+                same = all(d[g.char_index[sigma]] == d[g.char_index[rho]] for d in degrees)
                 if same:
                     assert sigma == rho
 
