@@ -8,8 +8,11 @@ the inverse tautological bundle to the reduced divisor and from twisting
 by its canonical sheaf.  A set of interior vertices that is not connected
 through interior edges gives a divisor whose parts share no double curve
 or triple point, so its classes are the sums of its parts' classes; its
-inequalities, sums of theirs, are implied and left out.  Exact LP reduces
-the family to the irredundant facet set; each facet is classified by the
+inequalities, sums of theirs, are implied and left out.  The inequalities
+of a state are held compactly (InequalityFamily: raw classes in one list,
+senses in one string, each source computed from its index), and the facet
+scan reads them without building an object per inequality.  Exact LP
+reduces them to the irredundant facet set; each facet is classified by the
 curves its wall contracts (none: type 0, isolated rigid curves: type I,
 ruling fibers of a divisor: type III; type II cannot occur and raises),
 and crossing a facet produces the adjacent state with the matching
@@ -18,8 +21,10 @@ tautological update.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from math import lcm
 from operator import add, mul, sub
@@ -36,13 +41,19 @@ from .errors import (
 from .fans import Triangulation, flip
 from .ggraphs import ghilb_fan
 from .groups import GroupSpec
-from .intlin import primitive
 from .lp import LPCounter, cone_membership, find_point, sign_masks
 from .recipe import mark_divisors
 
 
 # ---------------------------------------------------------------------------
 # Inequalities
+
+
+def functional(raw, sense):
+    """Functional on nontrivial-character coordinates of the inequality
+    theta(raw) > 0 (sense ">") or < 0 (sense "<"), in > 0 form."""
+    c = raw if sense == ">" else tuple(-x for x in raw)
+    return tuple(c[i] - c[0] for i in range(1, len(c)))
 
 
 @dataclass(frozen=True)
@@ -56,8 +67,35 @@ class Inequality:
 
     def functional(self):
         """Functional on nontrivial-character coordinates, > 0 form."""
-        c = self.raw if self.sense == ">" else tuple(-x for x in self.raw)
-        return tuple(c[i] - c[0] for i in range(1, len(c)))
+        return functional(self.raw, self.sense)
+
+
+class InequalityFamily(Sequence):
+    """A state's defining inequalities, stored compactly: the raw classes
+    in one list and their senses in one string.  The curve inequalities
+    come first, one per entry of curves (curve endpoints, in order); the
+    source of a later index i is tail_source(i - len(curves)).
+    family[i] is the Inequality(raw, sense, source) of index i, built on
+    demand."""
+
+    __slots__ = ("raws", "senses", "curves", "_tail_source")
+
+    def __init__(self, raws: list, senses: str, curves: tuple, tail_source):
+        self.raws = raws
+        self.senses = senses
+        self.curves = curves
+        self._tail_source = tail_source
+
+    def __len__(self):
+        return len(self.raws)
+
+    def __getitem__(self, i):
+        i = range(len(self.raws))[i]  # negative indices; IndexError past the end
+        return Inequality(self.raws[i], self.senses[i], self.source(i))
+
+    def source(self, i):
+        nc = len(self.curves)
+        return ("curve", self.curves[i]) if i < nc else self._tail_source(i - nc)
 
 
 @dataclass(frozen=True)
@@ -194,35 +232,55 @@ def generate_inequalities(state: ChamberState, table: ClassTable | None = None):
     one per compact curve and two per character and connected divisor
     set (a disconnected set's classes are sums of its components', so its
     inequalities are implied).  A curve's class is 1 plus the degree of
-    each character's bundle on it."""
+    each character's bundle on it.  After the curves come, per connected
+    set in geometry.subsets order and per character, the sub (">") and
+    quot ("<") inequalities, so a source is read off the index."""
     table = table or ClassTable(state)
     chars = state.group.characters
-    out = [
-        Inequality(tuple(d + 1 for d in col), ">", ("curve", e.endpoints))
-        for e, col in zip(table.edges, table.edge_cols)
-    ]
-    append = out.append
-    for verts, subs, quots in table.subset_classes():
-        for rho, sub_cls, quot_cls in zip(chars, subs, quots):
-            append(Inequality(sub_cls, ">", ("sub", rho, verts)))
-            append(Inequality(quot_cls, "<", ("quot", rho, verts)))
-    return out
+    subsets = table.geo.subsets
+    raws = [tuple(d + 1 for d in col) for col in table.edge_cols]
+    for _, subs, quots in table.subset_classes():
+        for pair in zip(subs, quots):
+            raws += pair
+    return InequalityFamily(
+        raws,
+        ">" * len(table.edges) + "><" * (len(chars) * len(subsets)),
+        tuple(e.endpoints for e in table.edges),
+        partial(_subset_source, chars, subsets),
+    )
+
+
+def _subset_source(chars, subsets, j):
+    """Source of the j-th inequality after the curves: 2r per connected
+    set, a sub then a quot per character."""
+    q, k = divmod(j, 2 * len(chars))
+    return ("quot" if k & 1 else "sub", chars[k >> 1], subsets[q].verts)
 
 
 # ---------------------------------------------------------------------------
 # Facet extraction
 
 
-def _two_term_sum(f, pool: set):
-    """Is f = a + b for two distinct members of the pool (conic combos of
-    other valid inequalities are never extreme, hence never facets)?"""
-    for a in pool:
-        if a is f:
-            continue
-        b = tuple(map(sub, f, a))
-        if any(b) and b != f and b in pool:
-            return True
-    return False
+def _sum_free(vecs):
+    """The members of a list of distinct nonzero integer vectors that are
+    not the sum of two others, in list order (a conic combination of other
+    valid inequalities is never extreme, hence never a facet).
+
+    Each vector is packed into one integer key, its entries the digits in
+    base 2^k with k = (6m + 1).bit_length() for m the largest |entry|.  The
+    packing is linear, and f - a - b for members f, a, b has entries of
+    size at most 3m < 2^(k-1), so its key is 0 only when it is 0: f = a + b
+    exactly when key(f) - key(a) is a member's key.  (a = f gives 0, which
+    is no member's key.)"""
+    k = (6 * max((abs(x) for f in vecs for x in f), default=0) + 1).bit_length()
+    keys = []
+    for f in vecs:
+        key = 0
+        for x in reversed(f):
+            key = (key << k) + x
+        keys.append(key)
+    members = set(keys)
+    return [f for f, kf in zip(vecs, keys) if members.isdisjoint([kf - ka for ka in keys])]
 
 
 def _foot_certificate(f, probe, candidates):
@@ -231,13 +289,13 @@ def _foot_certificate(f, probe, candidates):
     onto the hyperplane {f = 0}, so it is integral and lies on that
     hyperplane.  Returns True when q strictly satisfies every other
     candidate, which certifies that f spans a facet."""
-    ff = sum(x * x for x in f)
-    fe = sum(a * b for a, b in zip(f, probe))
+    ff = sum(map(mul, f, f))
+    fe = sum(map(mul, f, probe))
     q = tuple(ff * e - fe * x for e, x in zip(probe, f))
     if not any(q):
         return False
     for g in candidates:
-        if g is not f and sum(a * b for a, b in zip(g, q)) <= 0:
+        if g is not f and sum(map(mul, g, q)) <= 0:
             return False
     return True
 
@@ -247,11 +305,11 @@ def _facet_normals(prims, counter: LPCounter):
     extreme rays of their cone, sorted.
 
     Cheap exact certificates go first: a candidate equal to the sum of two
-    others is never extreme, and a point on a candidate's hyperplane
-    strictly inside all other candidates certifies a facet.  One pass over
-    the rest, in support-size order, then settles each with one exact
-    cone-membership test: a candidate lying in the cone of the candidates
-    still kept is dropped.  The test starts with the exact sign presolve of
+    others is never extreme (screened on packed integer keys by _sum_free),
+    and a point on a candidate's hyperplane strictly inside all other
+    candidates certifies a facet.  One pass over the rest, in support-size
+    order, then settles each with one exact cone-membership test: a
+    candidate lying in the cone of the candidates still kept is dropped.  The test starts with the exact sign presolve of
     lp.cone_membership, which decides most candidates with no simplex; only
     what it leaves undecided costs an LP.  Dropping a generator that lies
     in the cone of the others leaves the cone unchanged, and the cone of a
@@ -266,8 +324,7 @@ def _facet_normals(prims, counter: LPCounter):
         set(prims),
         key=lambda f: (sum(1 for x in f if x), sum(abs(x) for x in f), f),
     )
-    pool = set(uniq)
-    undecided = [f for f in uniq if not _two_term_sum(f, pool)]
+    undecided = _sum_free(uniq)
     if not undecided:
         return []
     # Probe point for foot certificates: an exact interior point of the
@@ -292,7 +349,7 @@ class Chamber:
     """A computed chamber: inequalities, facets and an interior point."""
 
     state: ChamberState
-    inequalities: list
+    inequalities: InequalityFamily
     facets: list
     interior_point: tuple
 
@@ -310,7 +367,7 @@ class Chamber:
         raise UserError(f"no facet with normal {normal}")
 
 
-def chamber_cone(state: ChamberState, ineqs, counter: LPCounter) -> Chamber:
+def chamber_cone(state: ChamberState, ineqs: InequalityFamily, counter: LPCounter) -> Chamber:
     """Facets, tight inequality sets and a rational interior point.
 
     Only inequalities that can span a wall are facet candidates: with the
@@ -321,17 +378,24 @@ def chamber_cone(state: ChamberState, ineqs, counter: LPCounter) -> Chamber:
     out of the facet scan; the tests certify this on every chamber they
     walk (each excluded functional lies in the cone of the facet normals),
     and the exactness guard checks every inequality at the interior point.
+    Both loops and the classification read raw classes, senses and
+    sources off the family; no Inequality object is built.
     """
-    prims = {}  # candidate index -> primitive functional
-    for i, iq in enumerate(ineqs):
-        nvals = len(set(iq.raw))
-        if nvals == 1:
-            raise InternalError(f"vanishing inequality functional from {iq.source}")
-        if nvals == 2:
-            prims[i] = primitive(iq.functional())
+    raws = ineqs.raws
+    senses = ineqs.senses
     tight = {}  # primitive functional -> candidate indices
-    for i, p in prims.items():
-        tight.setdefault(p, []).append(i)
+    for i, raw in enumerate(raws):
+        values = set(raw)
+        if len(values) == 2:
+            # The functional raw[1:] - raw[0] takes the values 0 and
+            # d = other - raw[0], so its primitive form has entries 0 and
+            # the sign of d, negated for sense "<".
+            c0 = raw[0]
+            values.discard(c0)
+            s = 1 if (values.pop() > c0) == (senses[i] == ">") else -1
+            tight.setdefault(tuple(0 if x == c0 else s for x in raw[1:]), []).append(i)
+        elif len(values) == 1:
+            raise InternalError(f"vanishing inequality functional from {ineqs.source(i)}")
     normals = _facet_normals(list(tight), counter)
     pt = find_point(normals, [1] * len(normals), counter)
     if pt is None:
@@ -345,15 +409,15 @@ def chamber_cone(state: ChamberState, ineqs, counter: LPCounter) -> Chamber:
     den = lcm(*(x.denominator for x in pt))
     ipt = [int(x * den) for x in pt]
     w = [-sum(ipt)] + ipt
-    for iq in ineqs:
-        s = sum(map(mul, iq.raw, w))
-        if (s <= 0) if iq.sense == ">" else (s >= 0):
+    for i, raw in enumerate(raws):
+        s = sum(map(mul, raw, w))
+        if (s <= 0) if senses[i] == ">" else (s >= 0):
             raise InternalError(
-                f"inequality from {iq.source} violated at the interior point"
+                f"inequality from {ineqs.source(i)} violated at the interior point"
             )
-    curves = {iq.source[1]: iq.raw for iq in ineqs if iq.source[0] == "curve"}
+    curves = dict(zip(ineqs.curves, raws))
     facets = [_classify(state, nrm, ineqs, tuple(tight[nrm]), curves) for nrm in normals]
-    return Chamber(state, list(ineqs), facets, pt)
+    return Chamber(state, ineqs, facets, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +430,7 @@ def _classify(state: ChamberState, normal, ineqs, tight, curves) -> Facet:
     each compact curve to its class."""
     fan = state.fan
     contracted = [
-        fan.edge_map[ineqs[i].source[1]] for i in tight if ineqs[i].source[0] == "curve"
+        fan.edge_map[src[1]] for src in map(ineqs.source, tight) if src[0] == "curve"
     ]
     if not contracted:
         sub = _splitting_from_normal(normal)
@@ -464,12 +528,12 @@ def _unstable_divisor(state, ineqs, tight, sub, curves):
     quot = tuple(1 - x for x in sub)
     candidates = set()
     for i in tight:
-        iq = ineqs[i]
-        kind = iq.source[0]
-        if kind == "sub" and iq.raw == sub:
-            candidates.add((sub, iq.source[2]))
-        elif kind == "quot" and iq.raw == quot:
-            candidates.add((quot, iq.source[2]))
+        raw = ineqs.raws[i]
+        kind, _, verts = ineqs.source(i)
+        if kind == "sub" and raw == sub:
+            candidates.add((sub, verts))
+        elif kind == "quot" and raw == quot:
+            candidates.add((quot, verts))
     edges_at = state.fan.geometry.edges_at
     valid = set()
     for side, verts in candidates:
@@ -648,16 +712,23 @@ def ghilb_chamber(g: GroupSpec, counter: LPCounter | None = None):
     generic = chamber_cone(state, generate_inequalities(state), counter)
 
     marks = mark_divisors(ghilb_fan(g), g)
-    special = [iq for iq in generic.inequalities if iq.source[0] == "curve"]
-    for v, chars in sorted(marks.items()):
-        for rho in sorted(chars, key=lambda c: c.index):
-            cls = tuple(1 if c == rho else 0 for c in g.characters)
-            special.append(Inequality(cls, ">", ("sub", rho, (v,))))
-    special += [
-        iq
-        for iq in generic.inequalities
-        if iq.source[0] == "quot" and iq.source[1] == g.trivial
+    family = generic.inequalities
+    nc = len(family.curves)
+    sources = [
+        ("sub", rho, (v,))
+        for v, chars in sorted(marks.items())
+        for rho in sorted(chars, key=lambda c: c.index)
     ]
+    raws = family.raws[:nc] + [
+        tuple(1 if c == rho else 0 for c in g.characters) for _, rho, _ in sources
+    ]
+    senses = ">" * len(raws)
+    quots = [i for i in range(nc, len(family)) if family.source(i)[:2] == ("quot", g.trivial)]
+    raws += [family.raws[i] for i in quots]
+    sources += map(family.source, quots)
+    special = InequalityFamily(
+        raws, senses + "<" * len(quots), family.curves, sources.__getitem__
+    )
     specialised = chamber_cone(state, special, counter)
     if {f.normal for f in generic.facets} != {f.normal for f in specialised.facets}:
         raise InternalError(

@@ -285,8 +285,11 @@ def star_surface(t: Triangulation, v: int) -> StarSurface:
 def flip_reachable_fans(t0: Triangulation, cap: int = 100_000) -> dict:
     """BFS closure of a triangulation under flips of (-1,-1) interior edges.
 
-    Returns {canonical key: Triangulation}; raises CapError above cap fans.
+    Returns {canonical key: Triangulation}; raises CapError above cap fans,
+    counting t0.
     """
+    if cap < 1:
+        raise CapError(f"flip closure exceeded cap of {cap} fans")
     seen = {t0.key: t0}
     frontier = [t0]
     while frontier:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 
 from .bundles import TautBundle
-from .chambers import Chamber, ChamberState
+from .chambers import Chamber, ChamberState, functional
 from .errors import UserError
 from .fans import Triangulation, line_ratio
 from .groups import GroupSpec, parse_group
@@ -165,12 +165,9 @@ def chamber_report(g: GroupSpec, chamber: Chamber, flabels=None) -> dict:
         (facet_report(g, f, flabels) for f in chamber.facets),
         key=lambda d: d["normal"],
     )
-    redundant = sorted(
-        {
-            tuple(chamber.inequalities[i].functional())
-            for i in chamber.redundant
-        }
-    )
+    family = chamber.inequalities
+    raws, senses = family.raws, family.senses
+    redundant = sorted({functional(raws[i], senses[i]) for i in chamber.redundant})
     return {
         "facets": facets,
         "interior_point": [frac_str(x) for x in chamber.interior_point],

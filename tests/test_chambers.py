@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import pickle
 from unittest import mock
 
@@ -14,6 +15,7 @@ from crepant.bundles import TautBundle
 from crepant.chambers import (
     _facet_normals,
     _foot_certificate,
+    _sum_free,
     compute_chamber,
     cross_wall,
     enumerate_chambers,
@@ -28,6 +30,7 @@ from crepant.groups import Character, invariant_lattice_basis, parse_group
 from crepant.intlin import dot, primitive
 from crepant.lp import LPCounter, cone_membership
 from curves import opposite_vertices
+from inequality_reference import two_term_sum
 
 
 def normals(chamber):
@@ -217,6 +220,74 @@ def cube_vector_sets(draw):
 @given(cube_vector_sets())
 def test_facet_normals_match_reference_on_cube_vectors(prims):
     assert _facet_normals(prims, LPCounter()) == reference_normals(prims)
+
+
+@st.composite
+def vector_lists(draw):
+    """Distinct nonzero primitive vectors of one dimension (1 to 12) with
+    entries in [-m, m] for a drawn m <= 50, plus the primitive sums of some
+    drawn pairs that stay within [-50, 50]."""
+    d = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 50))
+    vector = st.lists(st.integers(-m, m), min_size=d, max_size=d)
+    vecs = [primitive(v) for v in draw(st.lists(vector, min_size=1, max_size=16)) if any(v)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=8)):
+        if i < j < len(vecs):
+            s = tuple(map(operator.add, vecs[i], vecs[j]))
+            if any(s) and max(map(abs, s)) <= 50 and primitive(s) == s:
+                vecs.append(s)
+    return list(dict.fromkeys(vecs))
+
+
+@settings(max_examples=300)
+@given(vector_lists())
+def test_sum_screen_matches_pairwise_tuples(vecs):
+    pool = set(vecs)
+    assert _sum_free(vecs) == [f for f in vecs if not two_term_sum(f, pool)]
+
+
+def test_sum_screen_matches_pairwise_tuples_on_all_ghilb_functionals_1_11():
+    # every generated inequality of the 1/11(1,2,8) G-Hilb chamber, as the
+    # unpruned facet computation of the acceptance battery screens them
+    chamber = compute_chamber(ghilb_state(parse_group("1/11(1,2,8)")), LPCounter())
+    vecs = sorted({primitive(iq.functional()) for iq in chamber.inequalities})
+    pool = set(vecs)
+    expected = [f for f in vecs if not two_term_sum(f, pool)]
+    assert _sum_free(vecs) == expected
+    assert 0 < len(expected) < len(vecs)
+
+
+def test_sum_screen_digits_hold_three_term_differences():
+    # f - a - b = (8, -1, 0) with largest entry 3: in base 2^k with
+    # k = (2*3 + 1).bit_length() it packs to 0, so that width would call f
+    # the sum a + b, which it is not
+    f, a, b = (3, 0, 1), (-3, 1, 0), (-2, 0, 1)
+    base = 1 << (2 * 3 + 1).bit_length()
+
+    def key(v):
+        return sum(x * base**i for i, x in enumerate(v))
+
+    assert key(f) - key(a) == key(b)
+    assert not two_term_sum(f, {f, a, b})
+    assert _sum_free([f, a, b]) == [f, a, b]
+
+
+def test_ghilb_chamber_builds_no_inequality_objects(monkeypatch):
+    # chamber_cone and the wall classification read raw classes, senses
+    # and sources off the family, for both G-Hilb families of 1/11(1,2,8)
+    built = []
+    init = chambers.Inequality.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(chambers.Inequality, "__init__", counting_init)
+    chamber = ghilb_chamber(parse_group("1/11(1,2,8)"))
+    assert built == []
+    # indexing the family builds the object
+    assert chamber.inequalities[0] == built[0]
+    assert len(built) == 1
 
 
 def masked_scan_checked(prims):
@@ -504,6 +575,13 @@ def test_pickled_state_keeps_its_fan_and_group():
         assert back.fan is st.fan and back.taut.fan is st.fan
         assert back.group is g and back.taut.group is g
         assert back.key == st.key
+
+
+def test_pickled_chamber_keeps_its_inequalities():
+    ch = compute_chamber(ghilb_state(parse_group("1/6(1,2,3)")), LPCounter())
+    back = pickle.loads(pickle.dumps(ch))
+    assert list(back.inequalities) == list(ch.inequalities)
+    assert back.facets == ch.facets and back.interior_point == ch.interior_point
 
 
 def test_no_type_ii_small_groups():

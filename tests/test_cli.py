@@ -144,6 +144,12 @@ def test_enumerate_cap_exit_code():
     assert p.returncode == 2
 
 
+def test_enumerate_fan_cap_counts_the_start_fan():
+    # the flip closure of 1/5(1,1,3) is its G-Hilb fan alone
+    assert run_cli("enumerate", "1/5(1,1,3)", "--max-fans", "0").returncode == 2
+    assert run_cli("enumerate", "1/5(1,1,3)", "--max-fans", "1").returncode == 0
+
+
 def test_cross_roundtrip_with_token():
     p = run_cli("chamber", "1/3(1,1,1)")
     rep = json.loads(p.stdout)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from crepant.errors import DegenerateEdgeError, InvalidFlipError
+from crepant.errors import CapError, DegenerateEdgeError, InvalidFlipError
 from crepant.fans import flip, flip_reachable_fans, line_ratio, star_surface
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
@@ -245,6 +245,15 @@ def test_triangle_exponent_matches_fraction_reference():
 def test_flip_reachable_counts(spec, count):
     g, fan = fan_of(spec)
     assert len(flip_reachable_fans(fan)) == count
+
+
+@pytest.mark.parametrize("spec,count", [("1/5(1,1,3)", 1), ("1/6(1,2,3)", 5)])
+def test_flip_reachable_cap_counts_the_start_fan(spec, count):
+    # the cap bounds the closure's size, start fan included
+    g, fan = fan_of(spec)
+    assert len(flip_reachable_fans(fan, cap=count)) == count
+    with pytest.raises(CapError):
+        flip_reachable_fans(fan, cap=count - 1)
 
 
 def test_flip_reachable_1_11():

@@ -47,6 +47,7 @@ from crepant.report import state_from_token, state_token
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from curves import bundle_degrees  # noqa: E402
+from inequality_reference import reference_inequalities  # noqa: E402
 from solve_reference import integral_solve  # noqa: E402
 from workloads import sweep_groups  # noqa: E402
 
@@ -69,23 +70,42 @@ def pruned_outside_cone(ineqs, normals):
     return len(pruned), witnesses
 
 
+@functools.cache
 def within_two_crossings_of_ghilb_1_11():
     """The 132 states within two crossings of the 1/11(1,2,8) G-Hilb
     state, each with its chamber, in BFS order."""
     s0 = ghilb_state(parse_group("1/11(1,2,8)"))
     seen = {s0.key}
     level = [s0]
+    out = []
     for depth in range(3):
         next_level = []
         for state in level:
             chamber = compute_chamber(state, LPCounter())
-            yield state, chamber
+            out.append((state, chamber))
             for f in chamber.facets if depth < 2 else ():
                 nstate = cross_wall(state, f)
                 if nstate.key not in seen:
                     seen.add(nstate.key)
                     next_level.append(nstate)
         level = next_level
+    return out
+
+
+@pytest.mark.parametrize("spec", sweep_groups())
+def test_inequality_family_matches_the_reference_on_sweep_graphs(spec):
+    for state, _, _ in sweep_graph(spec).nodes:
+        assert list(generate_inequalities(state)) == reference_inequalities(state), state.key
+
+
+def test_inequality_family_matches_the_reference_within_two_crossings_of_ghilb_1_11():
+    states = within_two_crossings_of_ghilb_1_11()
+    for state, chamber in states:
+        family = chamber.inequalities
+        reference = reference_inequalities(state)
+        assert list(family) == reference, state.key
+        assert family[-1] == reference[-1]
+    assert len(states) == 132
 
 
 @pytest.mark.parametrize("spec", sweep_groups())
