@@ -10,18 +10,17 @@ through interior edges gives a divisor whose parts share no double curve
 or triple point, so its classes are the sums of its parts' classes; its
 inequalities, sums of theirs, are implied and left out.  The inequalities
 of a state are held compactly (InequalityFamily: raw classes in one list,
-senses in one string, each source computed from its index), and the facet
-scan reads them without building an object per inequality.  Exact LP
-reduces them to the irredundant facet set; each facet is classified by the
-curves its wall contracts (none: type 0, isolated rigid curves: type I,
-ruling fibers of a divisor: type III; type II cannot occur and raises),
-and crossing a facet produces the adjacent state with the matching
-tautological update.
+senses in one string, each source computed from its index), with no
+object per inequality; functional(raw, sense) gives one's > 0 form.
+Exact LP reduces them to the irredundant facet set; each facet is
+classified by the curves its wall contracts (none: type 0, isolated rigid
+curves: type I, ruling fibers of a divisor: type III; type II cannot
+occur and raises), and crossing a facet produces the adjacent state with
+the matching tautological update.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -56,27 +55,13 @@ def functional(raw, sense):
     return tuple(c[i] - c[0] for i in range(1, len(c)))
 
 
-@dataclass(frozen=True)
-class Inequality:
-    """A defining inequality theta(cls) > 0 (sense '<' classes are negated
-    on normalisation, so func always points into the chamber)."""
-
-    raw: tuple  # R(G)-class as generated, before sense normalisation
-    sense: str  # ">" or "<" as generated
-    source: tuple  # ("curve", endpoints) | ("sub", char, verts) | ("quot", char, verts)
-
-    def functional(self):
-        """Functional on nontrivial-character coordinates, > 0 form."""
-        return functional(self.raw, self.sense)
-
-
-class InequalityFamily(Sequence):
+class InequalityFamily:
     """A state's defining inequalities, stored compactly: the raw classes
     in one list and their senses in one string.  The curve inequalities
     come first, one per entry of curves (curve endpoints, in order); the
-    source of a later index i is tail_source(i - len(curves)).
-    family[i] is the Inequality(raw, sense, source) of index i, built on
-    demand."""
+    source of a later index i is tail_source(i - len(curves)), where a
+    source is ("curve", endpoints), ("sub", char, verts) or ("quot", char,
+    verts)."""
 
     __slots__ = ("raws", "senses", "curves", "_tail_source")
 
@@ -88,10 +73,6 @@ class InequalityFamily(Sequence):
 
     def __len__(self):
         return len(self.raws)
-
-    def __getitem__(self, i):
-        i = range(len(self.raws))[i]  # negative indices; IndexError past the end
-        return Inequality(self.raws[i], self.senses[i], self.source(i))
 
     def source(self, i):
         nc = len(self.curves)
@@ -379,7 +360,7 @@ def chamber_cone(state: ChamberState, ineqs: InequalityFamily, counter: LPCounte
     walk (each excluded functional lies in the cone of the facet normals),
     and the exactness guard checks every inequality at the interior point.
     Both loops and the classification read raw classes, senses and
-    sources off the family; no Inequality object is built.
+    sources off the family.
     """
     raws = ineqs.raws
     senses = ineqs.senses

@@ -12,15 +12,17 @@ triangles are three-dimensional cones (chart fixed points).
 
 Each fan key has one Triangulation object (its constructor interns).  Its
 per-triangle inverses serve every exact solve in a triangle's basis: edge
-relations, star self-intersections, star-ray coordinates and chart
-generators.  Everything a line bundle's invariants need besides the bundle
-itself is that object's geometry attribute, a FanGeometry built on first
-use: one table per compact curve (its edge's opposite vertices and normal
-degrees, solved once), star surfaces, incidence tables, the two linear
-maps that read curve degrees and star restrictions off a bundle's r-scaled
-ray coefficients, and the table of connected compact-divisor subsets over
-which the chamber inequalities are assembled.  Flips and wall
-classification read the curve table too.
+relations, star-ray coordinates and chart generators; it also walks the
+rays of a star in cyclic order.  Everything a line bundle's invariants
+need besides the bundle itself is that object's geometry attribute, a
+FanGeometry built on first use: one table per compact curve (its edge's
+opposite vertices and normal degrees, solved once), star surfaces whose
+self-intersections are read off that table, incidence tables, the two
+linear maps that read curve degrees and star restrictions off a bundle's
+r-scaled ray coefficients, and the connected compact-divisor subsets over
+which the chamber inequalities are assembled (grown from the singletons,
+at most MAX_DIVISOR_SETS of them).  Flips and wall classification read
+the curve table too.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from .errors import CapError, DegenerateEdgeError, InternalError, InvalidFlipErr
 from .groups import GroupSpec
 from .intlin import cross, dot, inverse3, primitive, solve3
 
-# Most compact divisors of a fan whose connected-subset table (a loop over
-# all 2^n bit masks) is built; 20 took 1.9-13.5 s on a 2-vCPU host.
-MAX_COMPACT_DIVISORS = 20
+# Most connected compact-divisor sets of a fan (FanGeometry.subsets).  Each
+# set carries 2r inequalities of r entries: at r = 64, `crepant chamber`
+# grew by about 0.3 MB per set (1/64(1,1,62): 496 sets, 64 -> 212 MB max
+# RSS on a 2-vCPU host), so this many sets stay under 1 GB.
+MAX_DIVISOR_SETS = 3_000
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,28 @@ class Triangulation:
     def triangles_at_vertex(self, v: int) -> tuple[int, ...]:
         return tuple(ti for ti, t in enumerate(self.triangles) if v in t)
 
+    def star_rays(self, v: int) -> tuple[int, ...]:
+        """The neighbours of an interior vertex in cyclic order: the edges
+        opposite v in its triangles form the link, a cycle, walked from its
+        smallest vertex."""
+        link = {}
+        for ti in self.triangles_at_vertex(v):
+            p, q = (i for i in self.triangles[ti] if i != v)
+            link.setdefault(p, []).append(q)
+            link.setdefault(q, []).append(p)
+        if any(len(nbrs) != 2 for nbrs in link.values()):
+            raise InternalError(f"star of {self.vertices[v]} is not a closed fan")
+        prev = start = min(link)
+        rays = [start]
+        ray = link[start][0]
+        while ray != start:
+            rays.append(ray)
+            p, q = link[ray]
+            prev, ray = ray, (q if p == prev else p)
+        if len(rays) != len(link):
+            raise InternalError(f"star of {self.vertices[v]} is not a closed fan")
+        return tuple(rays)
+
     def coords(self, ti: int, v: int) -> dict:
         """Vertex v as an integer combination of triangle ti's vertices,
         {vertex: coefficient} in the triangle's vertex order; integral
@@ -245,43 +271,6 @@ class StarSurface:
     selfint: tuple[int, ...]
 
 
-def star_surface(t: Triangulation, v: int) -> StarSurface:
-    """The star of an interior vertex, its rays read off the triangles at
-    v: the edges opposite v form the link, a cycle, walked from its
-    smallest vertex.  The ray after u_i has coordinates (-1, -b_i) on
-    (u_{i-1}, u_i) in the basis of the triangle {v, u_{i-1}, u_i}."""
-    if t.vertex_kind[v] != "interior":
-        raise UserError(f"vertex {t.vertices[v]} is not interior to the simplex")
-    c_v = t.vertices[v]
-    link = {}
-    tri = {}  # link edge -> its triangle at v
-    for ti in t.triangles_at_vertex(v):
-        p, q = (i for i in t.triangles[ti] if i != v)
-        link.setdefault(p, []).append(q)
-        link.setdefault(q, []).append(p)
-        tri[p, q] = tri[q, p] = ti
-    if any(len(nbrs) != 2 for nbrs in link.values()):
-        raise InternalError(f"star of {c_v} is not a closed fan")
-    prev = start = min(link)
-    rays = [start]
-    ray = link[start][0]
-    while ray != start:
-        rays.append(ray)
-        p, q = link[ray]
-        prev, ray = ray, (q if p == prev else p)
-    if len(rays) != len(link):
-        raise InternalError(f"star of {c_v} is not a closed fan")
-    n = len(rays)
-    b = []
-    for i in range(n):
-        u_prev, u_i = rays[i - 1], rays[i]
-        alpha = t.coords(tri[u_prev, u_i], rays[(i + 1) % n])
-        if alpha[u_prev] != -1:
-            raise InternalError(f"no integral wall relation at star of {c_v}")
-        b.append(-alpha[u_i])
-    return StarSurface(v, tuple(rays), tuple(b))
-
-
 def flip_reachable_fans(t0: Triangulation, cap: int = 100_000) -> dict:
     """BFS closure of a triangulation under flips of (-1,-1) interior edges.
 
@@ -352,7 +341,6 @@ class FanGeometry:
         self.fan = fan
         self.r = r
         self.interior = fan.interior_vertices()
-        self.stars = {v: star_surface(fan, v) for v in self.interior}
         self.edges = fan.interior_edges
         self.edge_idx = {e.endpoints: i for i, e in enumerate(self.edges)}
         # The compact curves on each compact divisor.
@@ -360,12 +348,19 @@ class FanGeometry:
             v: tuple(e for e in self.edges if v in e.endpoints) for v in self.interior
         }
         self.curves = tuple(_curve(fan, e) for e in self.edges)
+        self.stars = {}
         self._star_terms = {}
         for v in self.interior:
+            rays = fan.star_rays(v)
+            # b_i is the coefficient of u_i in the relation of the curve
+            # {v, u_i}, whose opposite vertices are u_(i-1) and u_(i+1).
+            curves = (self.curves[self.edge_idx[min(u, v), max(u, v)]] for u in rays)
+            selfint = tuple(a if u == w1 else b for u, (_, _, w1, _, a, b) in zip(rays, curves))
+            self.stars[v] = StarSurface(v, rays, selfint)
             ti = fan.triangles_at_vertex(v)[0]
             self._star_terms[v] = (
                 fan.triangles[ti],
-                [(u, tuple(fan.coords(ti, u).values())) for u in self.stars[v].rays],
+                [(u, tuple(fan.coords(ti, u).values())) for u in rays],
             )
         # O(D_u) has r-scaled coefficient r at u and 0 elsewhere.
         nv = len(fan.vertices)
@@ -392,39 +387,41 @@ class FanGeometry:
     def subsets(self) -> tuple:
         """The sets of compact divisors that are connected through double
         curves, as DivisorSubset records in the order of their bit masks
-        over the interior vertices.  A set grows from a connected one by a
-        vertex adjacent to it (any leaf of a spanning tree will do), so a
-        mask is connected exactly when removing one of its vertices leaves
-        an earlier connected mask joined to that vertex.  Fans with more
-        than MAX_COMPACT_DIVISORS compact divisors raise CapError first."""
+        over the interior vertices.  The sets are grown from the singletons
+        by one adjacent vertex at a time, and CapError is raised as soon as
+        there are more than MAX_DIVISOR_SETS of them.  A set's parent drops
+        the last of its vertices whose removal leaves a connected set (any
+        leaf of a spanning tree will do, so there is one)."""
         interior = self.interior
-        if len(interior) > MAX_COMPACT_DIVISORS:
-            raise CapError(
-                f"{len(interior)} compact divisors exceed the divisor-subset"
-                f" limit of {MAX_COMPACT_DIVISORS}"
-            )
         bit = {v: 1 << i for i, v in enumerate(interior)}
         adj = {v: sum(bit[u] for u in nbrs) for v, nbrs in self.neighbours.items()}
-        position = {}
+        level = [(bit[v], adj[v]) for v in interior]  # (set, vertices adjacent to it)
+        connected = {mask for mask, _ in level}
+        while level:
+            grown = []
+            for mask, rim in level:
+                for v, b in bit.items():
+                    new = mask | b
+                    if rim & b and new not in connected:
+                        if len(connected) == MAX_DIVISOR_SETS:
+                            raise CapError(
+                                f"the connected sets of {len(interior)} compact divisors"
+                                f" exceed the limit of {MAX_DIVISOR_SETS}"
+                            )
+                        connected.add(new)
+                        grown.append((new, (rim | adj[v]) & ~new))
+            level = grown
+        position = {0: None}
         out = []
-        for mask in range(1, 1 << len(interior)):
+        for mask in sorted(connected):
             verts = tuple(v for v in interior if mask & bit[v])
-            parent = None
-            if len(verts) > 1:
-                for vertex in reversed(verts):
-                    rest = mask ^ bit[vertex]
-                    if adj[vertex] & rest and rest in position:
-                        parent = position[rest]
-                        break
-                else:
-                    continue
-            else:
-                vertex = verts[0]
+            vertex = next(v for v in reversed(verts) if mask ^ bit[v] in position)
             joins = tuple(
                 self.edge_idx[min(u, vertex), max(u, vertex)]
                 for u in self.neighbours[vertex]
                 if mask & bit[u]
             )
+            parent = position[mask ^ bit[vertex]]
             position[mask] = len(out)
             out.append(DivisorSubset(verts, parent, vertex, joins, *self._constants(verts)))
         return tuple(out)

@@ -155,6 +155,7 @@ def ghilb_fan(g: GroupSpec) -> GHilbFan:
     hash by identity, so the result is kept for the group object.
     """
     r = g.r
+    index = {p.c: i for i, p in enumerate(g.junior_points)}
     by_triangle = {}
     for gamma in enumerate_ggraphs(g):
         pts = cone_candidate_points(gamma, g)
@@ -182,18 +183,16 @@ def ghilb_fan(g: GroupSpec) -> GHilbFan:
             raise InternalError(
                 f"G-graph cone spans a non-basic triangle (det {d}, r^2 {r * r})"
             )
-        tri = tuple(sorted(p.c for p in pts))
+        # The points come in junior-point order, sorted by coordinates, so
+        # their indices form a sorted triple.
+        tri = tuple(index[p.c] for p in pts)
         if tri in by_triangle:
-            raise InternalError(f"two G-graphs share the maximal cone {tri}")
+            raise InternalError(
+                f"two G-graphs share the maximal cone {tuple(p.c for p in pts)}"
+            )
         by_triangle[tri] = gamma
-    coords = {p.c: i for i, p in enumerate(g.junior_points)}
-    tris = [tuple(sorted(coords[c] for c in tri)) for tri in by_triangle]
-    if len(tris) != r:
+    if len(by_triangle) != r:
         raise InternalError(
-            f"found {len(tris)} maximal G-graph cones, expected {r}"
+            f"found {len(by_triangle)} maximal G-graph cones, expected {r}"
         )
-    fan = Triangulation(g, tris)
-    keyed = {}
-    for tri_coords, gamma in by_triangle.items():
-        keyed[tuple(sorted(coords[c] for c in tri_coords))] = gamma
-    return GHilbFan(fan, keyed)
+    return GHilbFan(Triangulation(g, by_triangle), by_triangle)

@@ -99,7 +99,9 @@ class GroupSpec:
             Character(idx) for idx in product(*(range(n) for n in self.orders))
         )
         self.char_index = {c: i for i, c in enumerate(self.characters)}
-        if len(set(self._weights_of_cube())) != self.r:
+        # G -> (C*)^3 is injective exactly when the coordinate characters
+        # generate the character group.
+        if len(set(group_elements_scaled(self))) != self.r:
             raise GroupValidationError(
                 "coordinate weights do not generate all characters; "
                 "the diagonal action is not faithful for the stated order"
@@ -109,20 +111,6 @@ class GroupSpec:
 
     def __reduce__(self):
         return GroupSpec, (self.factors,)
-
-    def _weights_of_cube(self):
-        seen = {self.trivial}
-        frontier = [self.trivial]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for w in self.coord_weights:
-                    d = self.char_add(c, w)
-                    if d not in seen:
-                        seen.add(d)
-                        nxt.append(d)
-            frontier = nxt
-        return seen
 
     @property
     def trivial(self) -> Character:
@@ -221,7 +209,12 @@ def parse_group(text: str) -> GroupSpec:
         m = _TERM.match(term)
         if not m:
             raise GroupParseError(f"malformed term {term!r}; expected 1/INT(INT,INT,INT)")
-        n, a, b, c = (int(x) for x in m.groups())
+        try:
+            n, a, b, c = (int(x) for x in m.groups())
+        except ValueError:  # more digits than int() converts
+            raise GroupParseError(
+                f"an integer in a term of {len(term)} characters is too long"
+            ) from None
         if n == 0:
             raise GroupValidationError("factor order must be >= 1, got 0")
         factors.append((n, (a, b, c)))

@@ -51,16 +51,9 @@ def solve3(inverse, rhs) -> Vec3 | None:
     return None if any(rem for _, rem in qr) else tuple(q for q, _ in qr)
 
 
-def vec_gcd(v) -> int:
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
-
-
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (0 stays 0)."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     return tuple(a // g for a in v) if g > 1 else tuple(v)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .fans import line_ratio, star_surface
+from .fans import line_ratio
 from .ggraphs import GHilbFan, socle
 from .groups import Character, GroupSpec
 from .intlin import primitive, sub
@@ -61,7 +61,7 @@ def is_del_pezzo6_vertex(gh: GHilbFan, v: int) -> bool:
     """A vertex is del Pezzo-6 when six triangles surround it and the six
     neighbor directions pair up into three straight lines through it."""
     fan = gh.fan
-    rays = star_surface(fan, v).rays
+    rays = fan.star_rays(v)
     if len(rays) != 6:
         return False
     c_v = fan.vertices[v]

@@ -47,7 +47,6 @@ def triangulation_svg(
         f"<title>{_esc(title or str(g))}</title>",
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    drawn = set()
     for e in fan.edges:
         i, j = e.endpoints
         (x1, y1), (x2, y2) = pts[i], pts[j]
@@ -56,7 +55,6 @@ def triangulation_svg(
             f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
             f'stroke="{color}" stroke-width="1.2"/>'
         )
-        drawn.add(e.endpoints)
     for e in fan.interior_edges:
         i, j = e.endpoints
         (x1, y1), (x2, y2) = pts[i], pts[j]

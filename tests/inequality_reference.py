@@ -1,27 +1,32 @@
-"""Object-per-inequality references for the chamber engine's compact
-paths: the inequality family built as a list of Inequality objects, one
-per index with its source spelled out, and the two-term sum screen as a
-scan of the pool with tuple arithmetic."""
+"""References for the chamber engine's compact paths: the inequality
+family spelled out as (raw, sense, source) triples, one per index, and
+the two-term sum screen as a scan of the pool with tuple arithmetic."""
 
 from operator import sub
 
-from crepant.chambers import ClassTable, Inequality
+from crepant.chambers import ClassTable
 
 
 def reference_inequalities(state):
-    """One Inequality per compact curve, then two per character and
-    connected divisor set (sub, then quot), in geometry.subsets order."""
+    """One (raw, sense, source) triple per compact curve, then two per
+    character and connected divisor set (sub, then quot), in
+    geometry.subsets order."""
     table = ClassTable(state)
     chars = state.group.characters
     out = [
-        Inequality(tuple(d + 1 for d in col), ">", ("curve", e.endpoints))
+        (tuple(d + 1 for d in col), ">", ("curve", e.endpoints))
         for e, col in zip(table.edges, table.edge_cols)
     ]
     for verts, subs, quots in table.subset_classes():
         for rho, sub_cls, quot_cls in zip(chars, subs, quots):
-            out.append(Inequality(sub_cls, ">", ("sub", rho, verts)))
-            out.append(Inequality(quot_cls, "<", ("quot", rho, verts)))
+            out.append((sub_cls, ">", ("sub", rho, verts)))
+            out.append((quot_cls, "<", ("quot", rho, verts)))
     return out
+
+
+def triples(family):
+    """The (raw, sense, source) triple of every index of a family."""
+    return [(family.raws[i], family.senses[i], family.source(i)) for i in range(len(family))]
 
 
 def two_term_sum(f, pool):

@@ -29,6 +29,7 @@ from crepant.chambers import (
     compute_chamber,
     cross_wall,
     enumerate_chambers,
+    functional,
     ghilb_chamber,
     ghilb_state,
 )
@@ -123,10 +124,12 @@ def test_criterion_01_ghilb_chamber_1_11():
     assert got == expected
     # full (unpruned) facet computation: every generated inequality enters
     # the exact LP elimination
-    full = _facet_normals([primitive(iq.functional()) for iq in chamber.inequalities], LPCounter())
+    family = chamber.inequalities
+    funcs = [functional(family.raws[i], family.senses[i]) for i in range(len(family))]
+    full = _facet_normals([primitive(f) for f in funcs], LPCounter())
     assert set(full) == set(expected)
     # f2 itself is redundant
-    red = {chamber.inequalities[i].functional() for i in chamber.redundant}
+    red = {funcs[i] for i in chamber.redundant}
     assert f2 in red
     elapsed = time.time() - t0
     assert elapsed < 60

@@ -6,7 +6,7 @@ import pytest
 from crepant.bundles import TautBundle, ghilb_taut
 from crepant.chambers import ChamberState, ClassTable, compute_chamber, cross_wall, ghilb_state
 from crepant.errors import InternalError, PreconditionError, UserError
-from crepant.fans import flip, star_surface
+from crepant.fans import flip
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, invariant_lattice_basis, parse_group
 from crepant.intlin import dot, sub
@@ -180,7 +180,7 @@ def test_curve_class_examples():
 
 def test_euler_char_surface_p2():
     g, gh, taut = setup("1/3(1,1,1)")
-    star = star_surface(gh.fan, gh.fan.vindex[(1, 1, 1)])
+    star = gh.fan.geometry.stars[gh.fan.vindex[(1, 1, 1)]]
     assert euler_char_surface(star, (0, 0, 0)) == 1
     assert euler_char_surface(star, (1, 0, 0)) == 3  # O(1) on P^2
     assert euler_char_surface(star, (-1, -1, -1)) == 1  # omega
@@ -190,7 +190,7 @@ def test_euler_char_every_star_structure_sheaf_and_canonical():
     for spec in ["1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]:
         g, gh, taut = setup(spec)
         for v in gh.fan.interior_vertices():
-            star = star_surface(gh.fan, v)
+            star = gh.fan.geometry.stars[v]
             n = len(star.rays)
             assert euler_char_surface(star, (0,) * n) == 1
             assert euler_char_surface(star, (-1,) * n) == 1
@@ -227,7 +227,7 @@ def test_restriction_vs_inclusion_exclusion_cross_check():
         gens = state.taut.gens
         classes = divisor_classes(ClassTable(state))
         interior = fan.interior_vertices()
-        stars = {v: star_surface(fan, v) for v in interior}
+        stars = fan.geometry.stars
         subsets = [
             frozenset(v for i, v in enumerate(interior) if mask >> i & 1)
             for mask in range(1, 1 << len(interior))
@@ -275,7 +275,7 @@ def test_disjoint_divisor_union_is_sum_of_parts():
         gens = state.taut.gens
         classes = divisor_classes(ClassTable(state))
         interior = fan.interior_vertices()
-        stars = {v: star_surface(fan, v) for v in interior}
+        stars = fan.geometry.stars
         for k in range(2, len(interior) + 1):
             for verts in itertools.combinations(interior, k):
                 comps = components(fan, verts)
@@ -305,7 +305,7 @@ def test_fan_geometry_maps_match_chart_reference():
         for state in states:
             fan = state.fan
             geo = fan.geometry
-            stars = {v: star_surface(fan, v) for v in fan.interior_vertices()}
+            stars = fan.geometry.stars
             for row, per_tri in zip(state.taut.coeffs, state.taut.gens):
                 assert geo.edge_degrees(row) == [
                     ref_degree(fan, per_tri, e) for e in fan.interior_edges

@@ -19,6 +19,7 @@ from crepant.chambers import (
     compute_chamber,
     cross_wall,
     enumerate_chambers,
+    functional,
     generate_inequalities,
     ghilb_chamber,
     ghilb_state,
@@ -30,7 +31,7 @@ from crepant.groups import Character, invariant_lattice_basis, parse_group
 from crepant.intlin import dot, primitive
 from crepant.lp import LPCounter, cone_membership
 from curves import opposite_vertices
-from inequality_reference import two_term_sum
+from inequality_reference import triples, two_term_sum
 
 
 def normals(chamber):
@@ -43,7 +44,8 @@ def test_chamber_1_3():
     assert normals(ch) == {(0, 1), (1, 1)}
     assert all(f.wall_type == "0" for f in ch.facets)
     # theta1 + 2*theta2 > 0 (the curve inequality) is redundant
-    red_funcs = {ch.inequalities[i].functional() for i in ch.redundant}
+    family = ch.inequalities
+    red_funcs = {functional(family.raws[i], family.senses[i]) for i in ch.redundant}
     assert (1, 2) in red_funcs
     # certificate point in the chamber but outside Theta+
     pt = (-1, 2)
@@ -79,8 +81,8 @@ def test_interior_point_strict():
     g = parse_group("1/6(1,2,3)")
     ch = compute_chamber(ghilb_state(g), LPCounter())
     pt = ch.interior_point
-    for iq in ch.inequalities:
-        f = iq.functional()
+    for raw, sense, _ in triples(ch.inequalities):
+        f = functional(raw, sense)
         assert sum(a * b for a, b in zip(f, pt)) > 0
 
 
@@ -111,7 +113,7 @@ def test_inequality_counts_bound():
     ineqs = generate_inequalities(st)
     bound = len(st.fan.interior_edges) + 2 * g.r * len(connected_subsets(st.fan))
     assert len(ineqs) <= bound
-    divisor_sets = {iq.source[2] for iq in ineqs if iq.source[0] != "curve"}
+    divisor_sets = {src[2] for _, _, src in triples(ineqs) if src[0] != "curve"}
     assert divisor_sets == set(connected_subsets(st.fan))
 
 
@@ -178,9 +180,9 @@ def reference_normals(prims):
 
 def wall_candidates(chamber):
     return [
-        primitive(iq.functional())
-        for iq in chamber.inequalities
-        if len(set(iq.raw)) == 2
+        primitive(functional(raw, sense))
+        for raw, sense, _ in triples(chamber.inequalities)
+        if len(set(raw)) == 2
     ]
 
 
@@ -250,7 +252,8 @@ def test_sum_screen_matches_pairwise_tuples_on_all_ghilb_functionals_1_11():
     # every generated inequality of the 1/11(1,2,8) G-Hilb chamber, as the
     # unpruned facet computation of the acceptance battery screens them
     chamber = compute_chamber(ghilb_state(parse_group("1/11(1,2,8)")), LPCounter())
-    vecs = sorted({primitive(iq.functional()) for iq in chamber.inequalities})
+    family = chamber.inequalities
+    vecs = sorted({primitive(functional(raw, sense)) for raw, sense, _ in triples(family)})
     pool = set(vecs)
     expected = [f for f in vecs if not two_term_sum(f, pool)]
     assert _sum_free(vecs) == expected
@@ -270,24 +273,6 @@ def test_sum_screen_digits_hold_three_term_differences():
     assert key(f) - key(a) == key(b)
     assert not two_term_sum(f, {f, a, b})
     assert _sum_free([f, a, b]) == [f, a, b]
-
-
-def test_ghilb_chamber_builds_no_inequality_objects(monkeypatch):
-    # chamber_cone and the wall classification read raw classes, senses
-    # and sources off the family, for both G-Hilb families of 1/11(1,2,8)
-    built = []
-    init = chambers.Inequality.__init__
-
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(chambers.Inequality, "__init__", counting_init)
-    chamber = ghilb_chamber(parse_group("1/11(1,2,8)"))
-    assert built == []
-    # indexing the family builds the object
-    assert chamber.inequalities[0] == built[0]
-    assert len(built) == 1
 
 
 def masked_scan_checked(prims):
@@ -350,9 +335,9 @@ def test_raw_class_screen_is_indicator_compatibility():
     states = [s0] + [cross_wall(s0, f) for f in compute_chamber(s0, LPCounter()).facets]
     nwalls = 0
     for state in states:
-        for iq in generate_inequalities(state):
-            wall = len(set(iq.raw)) == 2
-            assert wall == indicator_compatible(iq.functional()), iq.source
+        for raw, sense, source in triples(generate_inequalities(state)):
+            wall = len(set(raw)) == 2
+            assert wall == indicator_compatible(functional(raw, sense)), source
             nwalls += wall
     assert nwalls
 
@@ -377,7 +362,7 @@ def test_prune_matches_full_on_neighbor_states():
     for f in ch.facets[:4]:
         st2 = cross_wall(st, f)
         a = compute_chamber(st2, LPCounter())
-        full = {primitive(iq.functional()) for iq in a.inequalities}
+        full = {primitive(functional(raw, sense)) for raw, sense, _ in triples(a.inequalities)}
         assert sorted(normals(a)) == reference_normals(full)
 
 
@@ -580,7 +565,7 @@ def test_pickled_state_keeps_its_fan_and_group():
 def test_pickled_chamber_keeps_its_inequalities():
     ch = compute_chamber(ghilb_state(parse_group("1/6(1,2,3)")), LPCounter())
     back = pickle.loads(pickle.dumps(ch))
-    assert list(back.inequalities) == list(ch.inequalities)
+    assert triples(back.inequalities) == triples(ch.inequalities)
     assert back.facets == ch.facets and back.interior_point == ch.interior_point
 
 
@@ -615,8 +600,8 @@ def test_type0_unique_splitting_uniqueness():
         assert len(r1) + len(r2) == g.r
         reps = set()
         for i in f.tight:
-            iq = ch.inequalities[i]
-            cls = iq.raw if iq.sense == ">" else tuple(-x for x in iq.raw)
+            raw = ch.inequalities.raws[i]
+            cls = raw if ch.inequalities.senses[i] == ">" else tuple(-x for x in raw)
             lo = min(cls)
             shifted = tuple(c - lo for c in cls)
             if set(shifted) <= {0, 1}:

@@ -12,6 +12,7 @@ from crepant import bundles, report
 from crepant.chambers import compute_chamber, cross_wall, ghilb_state
 from crepant.errors import UserError
 from crepant.fans import Triangulation
+from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
 from crepant.lp import LPCounter
 from crepant.report import state_from_token, state_token
@@ -58,18 +59,37 @@ def test_huge_group_order_is_a_cap_before_any_character():
     assert p.stdout == ""
 
 
-def test_too_many_compact_divisors_is_a_cap():
-    # 1/45(1,1,43) has 22 compact divisors: its G-Hilb fan is built, and the
-    # chamber stops before the 2^22 masks of the divisor-subset table
-    from crepant.fans import MAX_COMPACT_DIVISORS
+def test_too_many_compact_divisors_is_a_cap(monkeypatch, capsys, request):
+    # The cap counts connected divisor sets, not divisors: the 22 compact
+    # divisors of 1/45(1,1,43) form a chain with 253 connected sets, and
+    # its chamber is computed.
+    from crepant import cli, fans
 
-    start = time.perf_counter()
     p = run_cli("chamber", "1/45(1,1,43)")
-    assert time.perf_counter() - start < 15
-    assert p.returncode == 2
-    assert p.stderr == (
-        f"cap exceeded: 22 compact divisors exceed the divisor-subset limit of {MAX_COMPACT_DIVISORS}\n"
+    assert p.returncode == 0
+    assert p.stderr == ""
+    assert json.loads(p.stdout)["chamber"]["facets"]
+    # Under a cap below the 26 connected sets of 1/11(1,2,8), growing the
+    # sets stops at the cap.  Fresh fan objects, hence fresh geometry; the
+    # G-Hilb memo is dropped before and after.
+    monkeypatch.setattr(fans, "MAX_DIVISOR_SETS", 25)
+    monkeypatch.setattr(Triangulation, "_interned", {})
+    ghilb_fan.cache_clear()
+    request.addfinalizer(ghilb_fan.cache_clear)
+    assert cli.main(["chamber", "1/11(1,2,8)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "cap exceeded: the connected sets of 5 compact divisors exceed the limit of 25\n"
     )
+
+
+@pytest.mark.parametrize("spec", ["1/" + "9" * 5000 + "(1,1,1)", "1/3(1,1," + "9" * 5000 + ")"])
+def test_oversized_integer_in_spec_is_a_parse_error(spec):
+    # more digits than int() converts: an error line, not a traceback
+    p = run_cli("ghilb", spec)
+    assert p.returncode == 1
+    assert p.stderr == "error: an integer in a term of 5009 characters is too long\n"
     assert p.stdout == ""
 
 

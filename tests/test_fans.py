@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from crepant.errors import CapError, DegenerateEdgeError, InvalidFlipError
-from crepant.fans import flip, flip_reachable_fans, line_ratio, star_surface
+from crepant.fans import flip, flip_reachable_fans, line_ratio
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
 from curves import normal_degrees, opposite_vertices
@@ -15,6 +15,7 @@ from curves import normal_degrees, opposite_vertices
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from solve_reference import fraction_solve, in_basis  # noqa: E402
+from subsets_reference import mask_scan_subsets  # noqa: E402
 from workloads import sweep_groups  # noqa: E402
 
 GROUPS = ["1/2(1,0,1)", "1/3(1,1,1)", "1/6(1,2,3)", "1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]
@@ -129,14 +130,14 @@ def test_flop_marks_1_11():
 
 def test_star_surface_p2():
     g, fan = fan_of("1/3(1,1,1)")
-    s = star_surface(fan, fan.vindex[(1, 1, 1)])
+    s = fan.geometry.stars[fan.vindex[(1, 1, 1)]]
     assert len(s.rays) == 3
     assert s.selfint == (1, 1, 1)
 
 
 def test_star_surface_f4_on_1_11():
     g, fan = fan_of("1/11(1,2,8)")
-    s = star_surface(fan, fan.vindex[(1, 2, 8)])
+    s = fan.geometry.stars[fan.vindex[(1, 2, 8)]]
     assert sorted(s.selfint) == [-4, 0, 0, 4]
 
 
@@ -159,7 +160,7 @@ def test_star_wall_relation_exact():
     for spec, fan in closure_fans():
         triangles = set(fan.triangles)
         for v in fan.interior_vertices():
-            s = star_surface(fan, v)
+            s = fan.geometry.stars[v]
             n = len(s.rays)
             nbrs = {i for ti in fan.triangles_at_vertex(v) for i in fan.triangles[ti]} - {v}
             assert len(set(s.rays)) == n and set(s.rays) == nbrs, (spec, v)
@@ -178,11 +179,28 @@ def test_star_wall_relation_exact():
     assert stars == 395  # interior vertices over all the closures' fans
 
 
+def test_subsets_match_the_mask_scan():
+    # The connected divisor sets, grown from the singletons, come in mask
+    # order with the parents, vertices and joins of a scan over all 2^n
+    # masks: on every fan of the flip closures above and of 1/13(1,3,9),
+    # and on the G-Hilb fan of 1/25(1,3,21) (1,664 sets).
+    fans = [fan for _, fan in closure_fans()]
+    fans += [fan for _, fan in sorted(flip_reachable_fans(fan_of("1/13(1,3,9)")[1]).items())]
+    fans.append(fan_of("1/25(1,3,21)")[1])
+    sets = 0
+    for fan in fans:
+        geo = fan.geometry
+        assert [s[:4] for s in geo.subsets] == mask_scan_subsets(geo), fan.key
+        sets += len(geo.subsets)
+    assert (len(fans), sets, len(fans[-1].geometry.subsets)) == (131, 3194, 1664)
+
+
 def test_triangle_solves_match_fraction_reference():
-    # Edge relations, star self-intersections and star-ray coordinates are
-    # read off the fans' per-triangle inverses; an independent rational
-    # solve of each defining relation must give the same integers.  The
-    # opposite vertices of an edge are read off the triangles here.
+    # Edge relations and star-ray coordinates are read off the fans'
+    # per-triangle inverses, and star self-intersections off the edge
+    # relations; an independent rational solve of each defining relation
+    # must give the same integers.  The opposite vertices of an edge are
+    # read off the triangles here.
     edges = rays = 0
     for spec, fan in closure_fans():
         vert = fan.vertices

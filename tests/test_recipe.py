@@ -1,7 +1,6 @@
 import pytest
 
 from crepant.bundles import ghilb_taut
-from crepant.fans import star_surface
 from crepant.ggraphs import ghilb_fan
 from crepant.groups import Character, parse_group
 from crepant.recipe import check_partition, is_del_pezzo6_vertex, mark_divisors, mark_lines, marking
@@ -117,7 +116,7 @@ def test_del_pezzo6_pair_relation(spec):
         if len(marks) != 2:
             continue
         assert is_del_pezzo6_vertex(gh, v)
-        rays = star_surface(gh.fan, v).rays
+        rays = gh.fan.geometry.stars[v].rays
         chars = []
         for i in range(3):
             e = gh.fan.edge(v, rays[i])
