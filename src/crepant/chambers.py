@@ -9,10 +9,14 @@ by its canonical sheaf.  A set of interior vertices that is not connected
 through interior edges gives a divisor whose parts share no double curve
 or triple point, so its classes are the sums of its parts' classes; its
 inequalities, sums of theirs, are implied and left out.  The inequalities
-of a state are held compactly (InequalityFamily: raw classes in one list,
-senses in one string, each source computed from its index), with no
-object per inequality; functional(raw, sense) gives one's > 0 form.
-Exact LP reduces them to the irredundant facet set; each facet is
+of a state are held compactly (InequalityFamily: senses in one string,
+each source computed from its index, and raw classes only for the curves
+and the facet candidates, those with at most two values, picked out while
+the divisor sets are walked); the exactness guard checks every inequality
+at the interior point through linear scalars per divisor set, and the
+full list of raw classes is regenerated only for the readers that need
+it.  functional(raw, sense) gives an inequality's > 0 form.
+Exact LP reduces the candidates to the irredundant facet set; each facet is
 classified by the curves its wall contracts (none: type 0, isolated rigid
 curves: type I, ruling fibers of a divisor: type III; type II cannot
 occur and raises), and crossing a facet produces the adjacent state with
@@ -56,27 +60,72 @@ def functional(raw, sense):
 
 
 class InequalityFamily:
-    """A state's defining inequalities, stored compactly: the raw classes
-    in one list and their senses in one string.  The curve inequalities
-    come first, one per entry of curves (curve endpoints, in order); the
-    source of a later index i is tail_source(i - len(curves)), where a
-    source is ("curve", endpoints), ("sub", char, verts) or ("quot", char,
-    verts)."""
+    """A state's defining inequalities, stored compactly.  The curve
+    inequalities come first, one per entry of curves (curve endpoints, in
+    order), with their raw classes in curve_raws; the source of a later
+    index i is tail_source(i - len(curves)), where a source is ("curve",
+    endpoints), ("sub", char, verts) or ("quot", char, verts).  senses
+    holds every sense, and candidates maps the index of each facet
+    candidate (raw class with at most two values) to its raw class; no
+    other raw class is kept.
 
-    __slots__ = ("raws", "senses", "curves", "_tail_source")
+    A generated family keeps the ClassTable it came from: all_raws()
+    regenerates every raw class from it, once, and first_violation()
+    checks every inequality at a point by the table's linear guard.  A
+    family given all its raw classes (raws) keeps them and checks them one
+    by one."""
 
-    def __init__(self, raws: list, senses: str, curves: tuple, tail_source):
-        self.raws = raws
-        self.senses = senses
+    __slots__ = ("curves", "curve_raws", "candidates", "senses", "table", "_tail_source", "_raws")
+
+    def __init__(self, curves, curve_raws, candidates, senses, tail_source, table=None, raws=None):
         self.curves = curves
+        self.curve_raws = curve_raws
+        self.candidates = candidates
+        self.senses = senses
+        self.table = table
         self._tail_source = tail_source
+        self._raws = raws
 
     def __len__(self):
-        return len(self.raws)
+        return len(self.senses)
 
     def source(self, i):
         nc = len(self.curves)
         return ("curve", self.curves[i]) if i < nc else self._tail_source(i - nc)
+
+    def all_raws(self) -> list:
+        """Every raw class, in family order.  A generated family rebuilds
+        them from its table on the first call and keeps them."""
+        if self._raws is None:
+            raws = list(self.curve_raws)
+            for _, subs, quots in self.table.subset_classes():
+                for pair in zip(subs, quots):
+                    raws += pair
+            self._raws = raws
+        return self._raws
+
+    def first_violation(self, pt):
+        """The index of the first inequality that does not hold strictly
+        at the rational point pt, or None.  The functional of a class c is
+        c[1:] - c[0], so at den * pt, with den the common denominator, it
+        is c . w for w = (-sum(den * pt), den * pt)."""
+        den = lcm(*(x.denominator for x in pt))
+        ipt = [int(x * den) for x in pt]
+        w = [-sum(ipt)] + ipt
+        if self.table is not None:
+            return self.table.first_violation(w)
+        senses = self.senses
+        for i, raw in enumerate(self._raws):
+            s = sum(map(mul, raw, w))
+            if (s <= 0) if senses[i] == ">" else (s >= 0):
+                return i
+        return None
+
+
+def _candidates(raws) -> dict:
+    """The raw classes with at most two values, by index (one value means
+    the zero functional, which chamber_cone rejects)."""
+    return {i: raw for i, raw in enumerate(raws) if len(set(raw)) <= 2}
 
 
 @dataclass(frozen=True)
@@ -171,15 +220,23 @@ class ClassTable:
                 row = self._edge_twist[ei]
                 self._edge_twist[ei] = [x + sum(map(mul, c, ops[u])) for x, c in zip(row, cs)]
 
-    def subset_classes(self):
+    def set_sums(self):
         """Per connected divisor set, in the fan's geometry.subsets order:
-        (verts, sub classes, quot classes), one class per character."""
-        r = self.state.group.r
+        (rows, esum, tsum), where rows[kr] sums chi[v][kr] over the set's
+        vertices, esum sums edge_cols over its double curves and tsum its
+        twist products.  A set's sums come from its parent's plus one
+        vertex's terms, and are dropped after its last child."""
         chi = self._chi
         edge_cols = self.edge_cols
         edge_twist = self._edge_twist
-        sums = []  # per subset: (chi rows, edge-degree sums, twist sums)
-        for verts, parent, v, joins, c_sub, c_quot in self.geo.subsets:
+        subsets = self.geo.subsets
+        last = [-1] * len(subsets)  # per set: position of its last child
+        for q, s in enumerate(subsets):
+            if s.parent is not None:
+                last[s.parent] = q
+        r = self.state.group.r
+        sums = []  # per set: (rows, esum, tsum) while a child is to come
+        for q, (_, parent, v, joins, _, _) in enumerate(subsets):
             chi_v = chi[v]
             if parent is None:
                 rows = chi_v
@@ -187,6 +244,8 @@ class ClassTable:
                 tsum = self._self_twist[v]
             else:
                 rows0, esum, tsum = sums[parent]
+                if last[parent] == q:
+                    sums[parent] = None
                 rows = [list(map(add, row, chi_row)) for row, chi_row in zip(rows0, chi_v)]
                 tsum = map(add, tsum, self._self_twist[v])
                 for ei in joins:
@@ -194,18 +253,69 @@ class ClassTable:
                     tsum = map(add, tsum, edge_twist[ei])
                 esum = list(esum)
                 tsum = list(tsum)
-            sums.append((rows, esum, tsum))
+            sums.append((rows, esum, tsum) if last[q] > q else None)
+            yield rows, esum, tsum
+
+    def subset_classes(self):
+        """Per connected divisor set, in geometry.subsets order:
+        (verts, sub classes, quot classes), one class per character."""
+        for s, (rows, esum, tsum) in zip(self.geo.subsets, self.set_sums()):
             # sub[ks] = chi[ks] - esum[ks] + esum[kr] + c_sub, and
             # quot[ks] = sub[ks] + tsum[ks] - tsum[kr] + c_quot.
             subs = [
-                tuple(map(sub, row, map(sub, esum, repeat(esum[kr] + c_sub))))
+                tuple(map(sub, row, map(sub, esum, repeat(esum[kr] + s.sub_const))))
                 for kr, row in enumerate(rows)
             ]
             quots = [
-                tuple(map(add, cls, map(add, tsum, repeat(c_quot - tsum[kr]))))
+                tuple(map(add, cls, map(add, tsum, repeat(s.quot_const - tsum[kr]))))
                 for kr, cls in enumerate(subs)
             ]
-            yield verts, subs, quots
+            yield s.verts, subs, quots
+
+    def first_violation(self, w):
+        """The linear exactness guard: the index, in generate_inequalities
+        order, of the first inequality whose class c has c . w <= 0 for a
+        sub or curve class, or >= 0 for a quot class; None when all hold.
+
+        The entries of w sum to 0, so every constant term of a class drops
+        out.  A curve's class has value edge_cols[e] . w.  For a connected
+        set, let R[kr] be the sum over its vertices of chi[v][kr] . w, E
+        the sum over its double curves of edge_cols[e] . w, and T the value
+        of its twist sums tsum; then the sub class of character kr has
+        value R[kr] - E and its quot class R[kr] - E + T.  These scalars
+        grow from the parent's as the sums do, at O(r) work per set."""
+
+        def value(c):
+            return sum(map(mul, c, w))
+
+        ew = [value(c) for c in self.edge_cols]
+        for e, x in enumerate(ew):
+            if x <= 0:
+                return e
+        chiw = {v: [value(row) for row in rows] for v, rows in self._chi.items()}
+        sw = {v: value(c) for v, c in self._self_twist.items()}
+        tw = [value(c) for c in self._edge_twist]
+        scalars = []  # per set: (R, E, T)
+        i = len(ew)
+        for _, parent, v, joins, _, _ in self.geo.subsets:
+            if parent is None:
+                rs, e, t = chiw[v], 0, sw[v]
+            else:
+                rs, e, t = scalars[parent]
+                rs = list(map(add, rs, chiw[v]))
+                t += sw[v]
+                for ei in joins:
+                    e += ew[ei]
+                    t += tw[ei]
+            scalars.append((rs, e, t))
+            if min(rs) <= e or max(rs) + t >= e:
+                for kr, x in enumerate(rs):
+                    if x <= e:
+                        return i + 2 * kr
+                    if x + t >= e:
+                        return i + 2 * kr + 1
+            i += 2 * len(rs)
+        return None
 
 
 def generate_inequalities(state: ChamberState, table: ClassTable | None = None):
@@ -215,19 +325,37 @@ def generate_inequalities(state: ChamberState, table: ClassTable | None = None):
     inequalities are implied).  A curve's class is 1 plus the degree of
     each character's bundle on it.  After the curves come, per connected
     set in geometry.subsets order and per character, the sub (">") and
-    quot ("<") inequalities, so a source is read off the index."""
+    quot ("<") inequalities, so a source is read off the index.
+
+    Only the facet candidates' raw classes are built, while the sets are
+    walked: the sub class of character kr is rows[kr] - esum plus a
+    constant and its quot class rows[kr] - esum + tsum plus a constant
+    (ClassTable.set_sums), so each takes two values exactly when that
+    difference does."""
     table = table or ClassTable(state)
     chars = state.group.characters
     subsets = table.geo.subsets
-    raws = [tuple(d + 1 for d in col) for col in table.edge_cols]
-    for _, subs, quots in table.subset_classes():
-        for pair in zip(subs, quots):
-            raws += pair
+    curves = tuple(e.endpoints for e in table.edges)
+    tail_source = partial(_subset_source, chars, subsets)
+    curve_raws = [tuple(d + 1 for d in col) for col in table.edge_cols]
+    candidates = _candidates(curve_raws)
+    i = len(curves)
+    for s, (rows, esum, tsum) in zip(subsets, table.set_sums()):
+        tdiff = list(map(sub, tsum, esum))
+        for kr, row in enumerate(rows):
+            if len(set(map(sub, row, esum))) <= 2:
+                candidates[i] = tuple(x - y + esum[kr] + s.sub_const for x, y in zip(row, esum))
+            if len(set(map(add, row, tdiff))) <= 2:
+                c = esum[kr] + s.sub_const - tsum[kr] + s.quot_const
+                candidates[i + 1] = tuple(x + y + c for x, y in zip(row, tdiff))
+            i += 2
     return InequalityFamily(
-        raws,
-        ">" * len(table.edges) + "><" * (len(chars) * len(subsets)),
-        tuple(e.endpoints for e in table.edges),
-        partial(_subset_source, chars, subsets),
+        curves,
+        curve_raws,
+        candidates,
+        ">" * len(curves) + "><" * (len(chars) * len(subsets)),
+        tail_source,
+        table=table,
     )
 
 
@@ -355,28 +483,25 @@ def chamber_cone(state: ChamberState, ineqs: InequalityFamily, counter: LPCounte
     trivial character's coefficient eliminated, a wall's functional is a
     0/1 or -1/0 vector, so its raw class takes exactly two values (one
     value is the zero functional).  The others are implied by the
-    candidates whenever the system cuts out a chamber, so they are left
-    out of the facet scan; the tests certify this on every chamber they
-    walk (each excluded functional lies in the cone of the facet normals),
-    and the exactness guard checks every inequality at the interior point.
-    Both loops and the classification read raw classes, senses and
+    candidates whenever the system cuts out a chamber, so the family keeps
+    only the candidates' raw classes; the tests certify this on every
+    chamber they walk (each excluded functional lies in the cone of the
+    facet normals), and the exactness guard checks every inequality at
+    the interior point.  The classification reads candidates, senses and
     sources off the family.
     """
-    raws = ineqs.raws
     senses = ineqs.senses
     tight = {}  # primitive functional -> candidate indices
-    for i, raw in enumerate(raws):
-        values = set(raw)
-        if len(values) == 2:
-            # The functional raw[1:] - raw[0] takes the values 0 and
-            # d = other - raw[0], so its primitive form has entries 0 and
-            # the sign of d, negated for sense "<".
-            c0 = raw[0]
-            values.discard(c0)
-            s = 1 if (values.pop() > c0) == (senses[i] == ">") else -1
-            tight.setdefault(tuple(0 if x == c0 else s for x in raw[1:]), []).append(i)
-        elif len(values) == 1:
+    for i, raw in ineqs.candidates.items():
+        # The functional raw[1:] - raw[0] takes the values 0 and
+        # d = other - raw[0], so its primitive form has entries 0 and
+        # the sign of d, negated for sense "<".
+        c0 = raw[0]
+        hi = max(raw)
+        if hi == min(raw):
             raise InternalError(f"vanishing inequality functional from {ineqs.source(i)}")
+        s = 1 if (hi > c0) == (senses[i] == ">") else -1
+        tight.setdefault(tuple(0 if x == c0 else s for x in raw[1:]), []).append(i)
     normals = _facet_normals(list(tight), counter)
     pt = find_point(normals, [1] * len(normals), counter)
     if pt is None:
@@ -384,19 +509,11 @@ def chamber_cone(state: ChamberState, ineqs: InequalityFamily, counter: LPCounte
             "inequality system has empty interior; inconsistent state"
         )
     # Exactness guard: every generated inequality, including any excluded
-    # from the facet scan, must hold strictly at the interior point.  The
-    # functional of a class c is c[1:] - c[0], so at an integral point p it
-    # is c . w with w = (-sum(p), p).
-    den = lcm(*(x.denominator for x in pt))
-    ipt = [int(x * den) for x in pt]
-    w = [-sum(ipt)] + ipt
-    for i, raw in enumerate(raws):
-        s = sum(map(mul, raw, w))
-        if (s <= 0) if senses[i] == ">" else (s >= 0):
-            raise InternalError(
-                f"inequality from {ineqs.source(i)} violated at the interior point"
-            )
-    curves = dict(zip(ineqs.curves, raws))
+    # from the facet scan, must hold strictly at the interior point.
+    i = ineqs.first_violation(pt)
+    if i is not None:
+        raise InternalError(f"inequality from {ineqs.source(i)} violated at the interior point")
+    curves = dict(zip(ineqs.curves, ineqs.curve_raws))
     facets = [_classify(state, nrm, ineqs, tuple(tight[nrm]), curves) for nrm in normals]
     return Chamber(state, ineqs, facets, pt)
 
@@ -509,7 +626,7 @@ def _unstable_divisor(state, ineqs, tight, sub, curves):
     quot = tuple(1 - x for x in sub)
     candidates = set()
     for i in tight:
-        raw = ineqs.raws[i]
+        raw = ineqs.candidates[i]
         kind, _, verts = ineqs.source(i)
         if kind == "sub" and raw == sub:
             candidates.add((sub, verts))
@@ -700,15 +817,23 @@ def ghilb_chamber(g: GroupSpec, counter: LPCounter | None = None):
         for v, chars in sorted(marks.items())
         for rho in sorted(chars, key=lambda c: c.index)
     ]
-    raws = family.raws[:nc] + [
+    raws = family.curve_raws + [
         tuple(1 if c == rho else 0 for c in g.characters) for _, rho, _ in sources
     ]
     senses = ">" * len(raws)
-    quots = [i for i in range(nc, len(family)) if family.source(i)[:2] == ("quot", g.trivial)]
-    raws += [family.raws[i] for i in quots]
+    # Each connected set has 2r entries, a sub then a quot per character.
+    k0 = g.characters.index(g.trivial)
+    quots = range(nc + 2 * k0 + 1, len(family), 2 * g.r)
+    all_raws = family.all_raws()
+    raws += [all_raws[i] for i in quots]
     sources += map(family.source, quots)
     special = InequalityFamily(
-        raws, senses + "<" * len(quots), family.curves, sources.__getitem__
+        family.curves,
+        family.curve_raws,
+        _candidates(raws),
+        senses + "<" * len(quots),
+        sources.__getitem__,
+        raws=raws,
     )
     specialised = chamber_cone(state, special, counter)
     if {f.normal for f in generic.facets} != {f.normal for f in specialised.facets}:

@@ -166,7 +166,7 @@ def chamber_report(g: GroupSpec, chamber: Chamber, flabels=None) -> dict:
         key=lambda d: d["normal"],
     )
     family = chamber.inequalities
-    raws, senses = family.raws, family.senses
+    raws, senses = family.all_raws(), family.senses
     redundant = sorted({functional(raws[i], senses[i]) for i in chamber.redundant})
     return {
         "facets": facets,

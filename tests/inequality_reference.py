@@ -1,8 +1,10 @@
 """References for the chamber engine's compact paths: the inequality
-family spelled out as (raw, sense, source) triples, one per index, and
-the two-term sum screen as a scan of the pool with tuple arithmetic."""
+family spelled out as (raw, sense, source) triples, one per index, the
+exactness guard as a check of every triple at a point, and the two-term
+sum screen as a scan of the pool with tuple arithmetic."""
 
-from operator import sub
+from math import lcm
+from operator import mul, sub
 
 from crepant.chambers import ClassTable
 
@@ -25,8 +27,25 @@ def reference_inequalities(state):
 
 
 def triples(family):
-    """The (raw, sense, source) triple of every index of a family."""
-    return [(family.raws[i], family.senses[i], family.source(i)) for i in range(len(family))]
+    """The (raw, sense, source) triple of every index of a family, its raw
+    classes regenerated."""
+    raws = family.all_raws()
+    return [(raws[i], family.senses[i], family.source(i)) for i in range(len(family))]
+
+
+def literal_violation(triples, pt):
+    """The index of the first triple whose inequality does not hold
+    strictly at the rational point pt, or None: each raw class c is dotted
+    with w = (-sum(p), p) for p = den * pt, den the common denominator, as
+    c[1:] - c[0] at p is c . w."""
+    den = lcm(*(x.denominator for x in pt))
+    p = [int(x * den) for x in pt]
+    w = [-sum(p)] + p
+    for i, (raw, sense, _) in enumerate(triples):
+        value = sum(map(mul, raw, w))
+        if (value <= 0) if sense == ">" else (value >= 0):
+            return i
+    return None
 
 
 def two_term_sum(f, pool):

@@ -125,7 +125,7 @@ def test_criterion_01_ghilb_chamber_1_11():
     # full (unpruned) facet computation: every generated inequality enters
     # the exact LP elimination
     family = chamber.inequalities
-    funcs = [functional(family.raws[i], family.senses[i]) for i in range(len(family))]
+    funcs = [functional(raw, sense) for raw, sense in zip(family.all_raws(), family.senses)]
     full = _facet_normals([primitive(f) for f in funcs], LPCounter())
     assert set(full) == set(expected)
     # f2 itself is redundant

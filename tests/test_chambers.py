@@ -45,7 +45,8 @@ def test_chamber_1_3():
     assert all(f.wall_type == "0" for f in ch.facets)
     # theta1 + 2*theta2 > 0 (the curve inequality) is redundant
     family = ch.inequalities
-    red_funcs = {functional(family.raws[i], family.senses[i]) for i in ch.redundant}
+    raws = family.all_raws()
+    red_funcs = {functional(raws[i], family.senses[i]) for i in ch.redundant}
     assert (1, 2) in red_funcs
     # certificate point in the chamber but outside Theta+
     pt = (-1, 2)
@@ -600,7 +601,7 @@ def test_type0_unique_splitting_uniqueness():
         assert len(r1) + len(r2) == g.r
         reps = set()
         for i in f.tight:
-            raw = ch.inequalities.raws[i]
+            raw = ch.inequalities.candidates[i]
             cls = raw if ch.inequalities.senses[i] == ">" else tuple(-x for x in raw)
             lo = min(cls)
             shifted = tuple(c - lo for c in cls)

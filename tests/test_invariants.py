@@ -6,7 +6,10 @@ chamber_cone scans only the inequalities whose raw class takes two values
 argument that they are implied by the others whenever the system cuts out
 a chamber.  The certificate here checks the argument chamber by chamber:
 every distinct functional left out lies in the cone of the facet normals,
-so the inequality it defines holds on the whole chamber.
+so the inequality it defines holds on the whole chamber.  The family
+keeps only the candidates' raw classes, built while the divisor sets are
+walked, and checks every inequality at the interior point by a linear
+guard; both are compared with the spelled-out family, near G-Hilb.
 
 The metamorphic tests rename the same group: permuting the coordinates,
 or changing the generator (weights times a unit mod r), must give the
@@ -31,8 +34,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crepant import cli
 from crepant.bundles import TautBundle
 from crepant.chambers import (
+    ClassTable,
+    InequalityFamily,
     compute_chamber,
     cross_wall,
     enumerate_chambers,
@@ -48,7 +54,11 @@ from crepant.report import state_from_token, state_token
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from curves import bundle_degrees  # noqa: E402
-from inequality_reference import reference_inequalities, triples  # noqa: E402
+from inequality_reference import (  # noqa: E402
+    literal_violation,
+    reference_inequalities,
+    triples,
+)
 from solve_reference import integral_solve  # noqa: E402
 from workloads import sweep_groups  # noqa: E402
 
@@ -128,6 +138,70 @@ def test_pruned_inequalities_are_implied_within_two_crossings_of_ghilb_1_11():
         chambers += 1
         functionals += n
     assert (chambers, functionals) == (132, 59_765)
+
+
+NEAR_GHILB_GROUPS = sweep_groups() + ["1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)", "1/25(1,3,21)"]
+
+
+@pytest.mark.parametrize("spec", NEAR_GHILB_GROUPS)
+def test_candidates_and_linear_guard_match_the_reference_near_ghilb(spec):
+    # On the G-Hilb state and each state one crossing away: the family
+    # keeps exactly the two-valued entries of the spelled-out family (same
+    # indices, raws and senses) and has its length.  Its linear guard
+    # agrees with the literal one: both pass at the chamber's own interior
+    # point, and at the interior point across a crossed wall, which
+    # violates that wall, both name the same first violated inequality.
+    s0 = ghilb_state(parse_group(spec))
+    c0 = compute_chamber(s0, LPCounter())
+    ref0 = None
+    violated = 0
+    for chamber in [c0] + [compute_chamber(cross_wall(s0, f), LPCounter()) for f in c0.facets]:
+        family = chamber.inequalities
+        ref = reference_inequalities(chamber.state)
+        assert len(family) == len(ref)
+        assert {i: (raw, family.senses[i]) for i, raw in family.candidates.items()} == {
+            i: (raw, sense) for i, (raw, sense, _) in enumerate(ref) if len(set(raw)) == 2
+        }
+        assert family.first_violation(chamber.interior_point) is None
+        assert literal_violation(ref, chamber.interior_point) is None
+        if ref0 is None:
+            ref0 = ref
+            continue
+        for fam, tri, pt in [
+            (c0.inequalities, ref0, chamber.interior_point),
+            (family, ref, c0.interior_point),
+        ]:
+            i = fam.first_violation(pt)
+            assert i is not None and i == literal_violation(tri, pt)
+            assert fam.source(i) == tri[i][2]
+            violated += 1
+    assert violated == 2 * len(c0.facets) > 0
+
+
+def test_compute_chamber_never_regenerates_the_family(monkeypatch):
+    def regenerate(family):
+        raise AssertionError("the inequality family was regenerated")
+
+    monkeypatch.setattr(InequalityFamily, "all_raws", regenerate)
+    s0 = ghilb_state(parse_group("1/11(1,2,8)"))
+    for f in compute_chamber(s0, LPCounter()).facets:
+        compute_chamber(cross_wall(s0, f), LPCounter())
+
+
+def test_chamber_command_regenerates_the_family_once(monkeypatch, capsys):
+    # ghilb_chamber takes the trivial character's quot classes from the
+    # regenerated family, and the report its redundant functionals.
+    calls = []
+    subset_classes = ClassTable.subset_classes
+
+    def counting(table):
+        calls.append(table.state.key)
+        return subset_classes(table)
+
+    monkeypatch.setattr(ClassTable, "subset_classes", counting)
+    assert cli.main(["chamber", "1/11(1,2,8)"]) == 0
+    assert len(calls) == 1
+    assert '"redundant_inequalities"' in capsys.readouterr().out
 
 
 def reference_twist_key(state, facet):
