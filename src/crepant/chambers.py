@@ -10,12 +10,13 @@ through interior edges gives a divisor whose parts share no double curve
 or triple point, so its classes are the sums of its parts' classes; its
 inequalities, sums of theirs, are implied and left out.  The inequalities
 of a state are held compactly (InequalityFamily: senses in one string,
-each source computed from its index, and raw classes only for the curves
-and the facet candidates, those with at most two values, picked out while
+each source read off its index, and raw classes only for the curves and
+the facet candidates, those with at most two values, picked out while
 the divisor sets are walked); the exactness guard checks every inequality
 at the interior point through linear scalars per divisor set, and the
-full list of raw classes is regenerated only for the readers that need
-it.  functional(raw, sense) gives an inequality's > 0 form.
+chamber report streams the full list of raw classes, regenerated from
+the family's table.  functional(raw, sense) gives an inequality's > 0
+form.
 Exact LP reduces the candidates to the irredundant facet set; each facet is
 classified by the curves its wall contracts (none: type 0, isolated rigid
 curves: type I, ruling fibers of a divisor: type III; type II cannot
@@ -27,8 +28,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
 from operator import add, mul, sub
 
@@ -59,50 +59,42 @@ def functional(raw, sense):
     return tuple(c[i] - c[0] for i in range(1, len(c)))
 
 
+@dataclass(eq=False, slots=True)
 class InequalityFamily:
-    """A state's defining inequalities, stored compactly.  The curve
-    inequalities come first, one per entry of curves (curve endpoints, in
-    order), with their raw classes in curve_raws; the source of a later
-    index i is tail_source(i - len(curves)), where a source is ("curve",
-    endpoints), ("sub", char, verts) or ("quot", char, verts).  senses
-    holds every sense, and candidates maps the index of each facet
-    candidate (raw class with at most two values) to its raw class; no
-    other raw class is kept.
+    """A state's defining inequalities, stored compactly, in
+    generate_inequalities order: one per compact curve (the table's
+    edges), then per connected divisor set and character a sub and a quot
+    inequality.  curve_raws holds the curves' raw classes, candidates maps
+    the index of each facet candidate (raw class with at most two values)
+    to its raw class, and senses holds every sense; no other raw class is
+    kept.  The family keeps the ClassTable it came from: first_violation()
+    checks every inequality at a point by the table's linear guard, and
+    all_raws() regenerates every raw class from it."""
 
-    A generated family keeps the ClassTable it came from: all_raws()
-    regenerates every raw class from it, once, and first_violation()
-    checks every inequality at a point by the table's linear guard.  A
-    family given all its raw classes (raws) keeps them and checks them one
-    by one."""
-
-    __slots__ = ("curves", "curve_raws", "candidates", "senses", "table", "_tail_source", "_raws")
-
-    def __init__(self, curves, curve_raws, candidates, senses, tail_source, table=None, raws=None):
-        self.curves = curves
-        self.curve_raws = curve_raws
-        self.candidates = candidates
-        self.senses = senses
-        self.table = table
-        self._tail_source = tail_source
-        self._raws = raws
+    table: ClassTable
+    curve_raws: list
+    candidates: dict
+    senses: str
 
     def __len__(self):
         return len(self.senses)
 
     def source(self, i):
-        nc = len(self.curves)
-        return ("curve", self.curves[i]) if i < nc else self._tail_source(i - nc)
+        """("curve", endpoints), ("sub", char, verts) or ("quot", char,
+        verts) of the i-th inequality, for error messages."""
+        edges = self.table.edges
+        if i < len(edges):
+            return ("curve", edges[i].endpoints)
+        chars = self.table.state.group.characters
+        q, k = divmod(i - len(edges), 2 * len(chars))
+        return ("quot" if k & 1 else "sub", chars[k >> 1], self.table.geo.subsets[q].verts)
 
-    def all_raws(self) -> list:
-        """Every raw class, in family order.  A generated family rebuilds
-        them from its table on the first call and keeps them."""
-        if self._raws is None:
-            raws = list(self.curve_raws)
-            for _, subs, quots in self.table.subset_classes():
-                for pair in zip(subs, quots):
-                    raws += pair
-            self._raws = raws
-        return self._raws
+    def all_raws(self):
+        """Every raw class, in family order, regenerated from the table."""
+        yield from self.curve_raws
+        for _, subs, quots in self.table.subset_classes():
+            for pair in zip(subs, quots):
+                yield from pair
 
     def first_violation(self, pt):
         """The index of the first inequality that does not hold strictly
@@ -111,21 +103,7 @@ class InequalityFamily:
         is c . w for w = (-sum(den * pt), den * pt)."""
         den = lcm(*(x.denominator for x in pt))
         ipt = [int(x * den) for x in pt]
-        w = [-sum(ipt)] + ipt
-        if self.table is not None:
-            return self.table.first_violation(w)
-        senses = self.senses
-        for i, raw in enumerate(self._raws):
-            s = sum(map(mul, raw, w))
-            if (s <= 0) if senses[i] == ">" else (s >= 0):
-                return i
-        return None
-
-
-def _candidates(raws) -> dict:
-    """The raw classes with at most two values, by index (one value means
-    the zero functional, which chamber_cone rejects)."""
-    return {i: raw for i, raw in enumerate(raws) if len(set(raw)) <= 2}
+        return self.table.first_violation([-sum(ipt)] + ipt)
 
 
 @dataclass(frozen=True)
@@ -333,13 +311,10 @@ def generate_inequalities(state: ChamberState, table: ClassTable | None = None):
     (ClassTable.set_sums), so each takes two values exactly when that
     difference does."""
     table = table or ClassTable(state)
-    chars = state.group.characters
     subsets = table.geo.subsets
-    curves = tuple(e.endpoints for e in table.edges)
-    tail_source = partial(_subset_source, chars, subsets)
     curve_raws = [tuple(d + 1 for d in col) for col in table.edge_cols]
-    candidates = _candidates(curve_raws)
-    i = len(curves)
+    candidates = {i: raw for i, raw in enumerate(curve_raws) if len(set(raw)) <= 2}
+    i = len(curve_raws)
     for s, (rows, esum, tsum) in zip(subsets, table.set_sums()):
         tdiff = list(map(sub, tsum, esum))
         for kr, row in enumerate(rows):
@@ -349,21 +324,8 @@ def generate_inequalities(state: ChamberState, table: ClassTable | None = None):
                 c = esum[kr] + s.sub_const - tsum[kr] + s.quot_const
                 candidates[i + 1] = tuple(x + y + c for x, y in zip(row, tdiff))
             i += 2
-    return InequalityFamily(
-        curves,
-        curve_raws,
-        candidates,
-        ">" * len(curves) + "><" * (len(chars) * len(subsets)),
-        tail_source,
-        table=table,
-    )
-
-
-def _subset_source(chars, subsets, j):
-    """Source of the j-th inequality after the curves: 2r per connected
-    set, a sub then a quot per character."""
-    q, k = divmod(j, 2 * len(chars))
-    return ("quot" if k & 1 else "sub", chars[k >> 1], subsets[q].verts)
+    senses = ">" * len(curve_raws) + "><" * (state.group.r * len(subsets))
+    return InequalityFamily(table, curve_raws, candidates, senses)
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +455,9 @@ def chamber_cone(state: ChamberState, ineqs: InequalityFamily, counter: LPCounte
     senses = ineqs.senses
     tight = {}  # primitive functional -> candidate indices
     for i, raw in ineqs.candidates.items():
-        # The functional raw[1:] - raw[0] takes the values 0 and
-        # d = other - raw[0], so its primitive form has entries 0 and
-        # the sign of d, negated for sense "<".
-        c0 = raw[0]
-        hi = max(raw)
-        if hi == min(raw):
+        if max(raw) == min(raw):
             raise InternalError(f"vanishing inequality functional from {ineqs.source(i)}")
-        s = 1 if (hi > c0) == (senses[i] == ">") else -1
-        tight.setdefault(tuple(0 if x == c0 else s for x in raw[1:]), []).append(i)
+        tight.setdefault(_wall_functional(raw, senses[i]), []).append(i)
     normals = _facet_normals(list(tight), counter)
     pt = find_point(normals, [1] * len(normals), counter)
     if pt is None:
@@ -513,23 +469,31 @@ def chamber_cone(state: ChamberState, ineqs: InequalityFamily, counter: LPCounte
     i = ineqs.first_violation(pt)
     if i is not None:
         raise InternalError(f"inequality from {ineqs.source(i)} violated at the interior point")
-    curves = dict(zip(ineqs.curves, ineqs.curve_raws))
-    facets = [_classify(state, nrm, ineqs, tuple(tight[nrm]), curves) for nrm in normals]
+    facets = [_classify(state, nrm, ineqs, tuple(tight[nrm])) for nrm in normals]
     return Chamber(state, ineqs, facets, pt)
+
+
+def _wall_functional(raw, sense):
+    """The primitive functional of a raw class with exactly two values.
+    The functional raw[1:] - raw[0] takes the values 0 and d = other -
+    raw[0], so its primitive form has entries 0 and the sign of d, negated
+    for sense "<"."""
+    c0 = raw[0]
+    s = 1 if (max(raw) > c0) == (sense == ">") else -1
+    return tuple(0 if x == c0 else s for x in raw[1:])
 
 
 # ---------------------------------------------------------------------------
 # Wall classification
 
 
-def _classify(state: ChamberState, normal, ineqs, tight, curves) -> Facet:
+def _classify(state: ChamberState, normal, ineqs, tight) -> Facet:
     """Classify the wall spanned by a facet via its contracted curves, the
-    curve inequalities in its tight set.  curves maps the endpoints of
-    each compact curve to its class."""
+    curve inequalities in its tight set: the indices below the number of
+    compact curves, which index the fan's interior edges."""
     fan = state.fan
-    contracted = [
-        fan.edge_map[src[1]] for src in map(ineqs.source, tight) if src[0] == "curve"
-    ]
+    geo = fan.geometry
+    contracted = [geo.edges[i] for i in tight if i < len(geo.edges)]
     if not contracted:
         sub = _splitting_from_normal(normal)
         chars = [c.index for c in state.group.characters]
@@ -542,12 +506,11 @@ def _classify(state: ChamberState, normal, ineqs, tight, curves) -> Facet:
                 tuple(c for c, x in zip(chars, sub) if x),
                 tuple(c for c, x in zip(chars, sub) if not x),
             ),
-            divisor=_unstable_divisor(state, ineqs, tight, sub, curves),
+            divisor=_unstable_divisor(state, ineqs, tight, sub),
         )
     fiber_edges = []
     flop_edges = []
     swept = set()
-    geo = fan.geometry
     for e in contracted:
         a, b = geo.relation(e)
         if (a, b) == (-1, -1):
@@ -578,7 +541,7 @@ def _classify(state: ChamberState, normal, ineqs, tight, curves) -> Facet:
         # (0, normal) when every fiber's class is 1 + (0, normal): degrees
         # equal on all fibers, and all in {0,1} or all in {0,-1}.
         fiber_class = tuple(1 + x for x in (0,) + normal)
-        if any(curves[e.endpoints] != fiber_class for e in fiber_edges):
+        if any(ineqs.curve_raws[geo.edge_idx[e.endpoints]] != fiber_class for e in fiber_edges):
             raise InternalError(f"fiber degrees are not the facet normal {normal}")
         return Facet(
             normal,
@@ -618,24 +581,27 @@ def _splitting_from_normal(normal):
     return sub
 
 
-def _unstable_divisor(state, ineqs, tight, sub, curves):
+def _unstable_divisor(state, ineqs, tight, sub):
     """Recover the unstable divisor of a type-0 wall from tight divisor
     inequalities whose class is exactly the sub/quotient indicator and on
     whose divisor that side's bundles restrict isomorphically: equal
-    degrees on every compact curve at it (faithful on Pic)."""
+    degrees on every compact curve at it (faithful on Pic).  The tight
+    set holds divisor inequalities only, 2r per connected set after the
+    curves, a sub then a quot per character."""
     quot = tuple(1 - x for x in sub)
+    geo = state.fan.geometry
+    nc = len(geo.edges)
     candidates = set()
     for i in tight:
-        raw = ineqs.candidates[i]
-        kind, _, verts = ineqs.source(i)
-        if kind == "sub" and raw == sub:
-            candidates.add((sub, verts))
-        elif kind == "quot" and raw == quot:
-            candidates.add((quot, verts))
-    edges_at = state.fan.geometry.edges_at
+        q, k = divmod(i - nc, 2 * state.group.r)
+        side = quot if k & 1 else sub
+        if ineqs.candidates[i] == side:
+            candidates.add((side, geo.subsets[q].verts))
     valid = set()
     for side, verts in candidates:
-        classes = [curves[e.endpoints] for v in verts for e in edges_at[v]]
+        classes = [
+            ineqs.curve_raws[geo.edge_idx[e.endpoints]] for v in verts for e in geo.edges_at[v]
+        ]
         restricted = {tuple(c[k] for c in classes) for k, x in enumerate(side) if x}
         if len(restricted) == 1:
             valid.add(verts)
@@ -796,48 +762,43 @@ def _verify_graph(graph: ChamberGraph):
 
 
 # ---------------------------------------------------------------------------
-# The G-Hilb chamber, with its specialised inequality family
+# The G-Hilb chamber, cross-checked against its specialised description
 
 
 def ghilb_chamber(g: GroupSpec, counter: LPCounter | None = None):
-    """The chamber of the G-Hilbert scheme, computed twice: once from the
-    generic inequality family and once from the specialised one (curve
-    classes, a plain positivity per marked character, quotient inequalities
-    at the trivial character only, taken from the generic family).  The
-    two facet systems must agree."""
+    """The chamber of the G-Hilbert scheme, from the generic inequality
+    family, checked against the specialised description: the curve
+    inequalities, a plain positivity per character marking a divisor in
+    Reid's recipe, and the quotient inequalities at the trivial character
+    only.  The curve and quotient inequalities are generic ones, so their
+    candidates are read off the generic family and the exactness guard
+    has checked them at the interior point.  The specialised candidates
+    must have the generic facet normals, and each positivity must hold at
+    the interior point."""
     counter = counter or LPCounter()
     state = ghilb_state(g)
-    generic = chamber_cone(state, generate_inequalities(state), counter)
-
-    marks = mark_divisors(ghilb_fan(g), g)
-    family = generic.inequalities
-    nc = len(family.curves)
-    sources = [
-        ("sub", rho, (v,))
-        for v, chars in sorted(marks.items())
-        for rho in sorted(chars, key=lambda c: c.index)
-    ]
-    raws = family.curve_raws + [
-        tuple(1 if c == rho else 0 for c in g.characters) for _, rho, _ in sources
-    ]
-    senses = ">" * len(raws)
+    chamber = chamber_cone(state, generate_inequalities(state), counter)
+    family = chamber.inequalities
+    nc = len(family.curve_raws)
     # Each connected set has 2r entries, a sub then a quot per character.
-    k0 = g.characters.index(g.trivial)
-    quots = range(nc + 2 * k0 + 1, len(family), 2 * g.r)
-    all_raws = family.all_raws()
-    raws += [all_raws[i] for i in quots]
-    sources += map(family.source, quots)
-    special = InequalityFamily(
-        family.curves,
-        family.curve_raws,
-        _candidates(raws),
-        senses + "<" * len(quots),
-        sources.__getitem__,
-        raws=raws,
-    )
-    specialised = chamber_cone(state, special, counter)
-    if {f.normal for f in generic.facets} != {f.normal for f in specialised.facets}:
+    quots = range(nc + 2 * g.char_index[g.trivial] + 1, len(family), 2 * g.r)
+    special = [
+        _wall_functional(family.candidates[i], family.senses[i])
+        for i in chain(range(nc), quots)
+        if i in family.candidates
+    ]
+    pt = chamber.interior_point
+    for v, chars in mark_divisors(ghilb_fan(g), g).items():
+        for rho in chars:
+            unit = _wall_functional(tuple(int(c == rho) for c in g.characters), ">")
+            if sum(map(mul, unit, pt)) <= 0:
+                raise InternalError(
+                    f"positivity of the character {rho.index} marking vertex {v}"
+                    " fails in the G-Hilb chamber"
+                )
+            special.append(unit)
+    if _facet_normals(special, counter) != [f.normal for f in chamber.facets]:
         raise InternalError(
             "specialised G-Hilb walls disagree with the generic chamber"
         )
-    return generic
+    return chamber

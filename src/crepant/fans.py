@@ -37,8 +37,9 @@ from .intlin import cross, dot, inverse3, primitive, solve3
 
 # Most connected compact-divisor sets of a fan (FanGeometry.subsets).  Each
 # set carries 2r inequalities of r entries: at r = 64, `crepant chamber`
-# grew by about 0.3 MB per set (1/64(1,1,62): 496 sets, 64 -> 212 MB max
-# RSS on a 2-vCPU host), so this many sets stay under 1 GB.
+# grew by about 0.2 MB per set (1/64(1,1,62): 496 sets, 64 MB max RSS for
+# compute_chamber and 160 MB for the command on a 2-vCPU host), so this
+# many sets stay under 1 GB.
 MAX_DIVISOR_SETS = 3_000
 
 

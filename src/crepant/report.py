@@ -165,9 +165,11 @@ def chamber_report(g: GroupSpec, chamber: Chamber, flabels=None) -> dict:
         (facet_report(g, f, flabels) for f in chamber.facets),
         key=lambda d: d["normal"],
     )
+    # The family's raw classes are regenerated as they are read.
     family = chamber.inequalities
-    raws, senses = family.all_raws(), family.senses
-    redundant = sorted({functional(raws[i], senses[i]) for i in chamber.redundant})
+    indices = set(chamber.redundant)
+    pairs = enumerate(zip(family.all_raws(), family.senses))
+    redundant = sorted({functional(*ineq) for i, ineq in pairs if i in indices})
     return {
         "facets": facets,
         "interior_point": [frac_str(x) for x in chamber.interior_point],

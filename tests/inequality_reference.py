@@ -29,7 +29,7 @@ def reference_inequalities(state):
 def triples(family):
     """The (raw, sense, source) triple of every index of a family, its raw
     classes regenerated."""
-    raws = family.all_raws()
+    raws = list(family.all_raws())
     return [(raws[i], family.senses[i], family.source(i)) for i in range(len(family))]
 
 

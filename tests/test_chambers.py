@@ -45,7 +45,7 @@ def test_chamber_1_3():
     assert all(f.wall_type == "0" for f in ch.facets)
     # theta1 + 2*theta2 > 0 (the curve inequality) is redundant
     family = ch.inequalities
-    raws = family.all_raws()
+    raws = list(family.all_raws())
     red_funcs = {functional(raws[i], family.senses[i]) for i in ch.redundant}
     assert (1, 2) in red_funcs
     # certificate point in the chamber but outside Theta+
@@ -72,10 +72,24 @@ def test_ghilb_chamber_cross_check_runs():
 
 
 def test_ghilb_chamber_lp_and_pivot_counts():
-    # both inequality families of 1/11(1,2,8): exact solve and pivot totals
+    # the generic chamber of 1/11(1,2,8) and the facet scan of its
+    # specialised candidates: exact solve and pivot totals
     counter = LPCounter()
     ghilb_chamber(parse_group("1/11(1,2,8)"), counter)
-    assert (counter.count, counter.pivots) == (6, 88)
+    assert (counter.count, counter.pivots) == (5, 64)
+
+
+def test_ghilb_chamber_cross_check_catches_a_dropped_mark(monkeypatch):
+    # Without one divisor's marked positivities the specialised walls are
+    # not the generic ones, whichever divisor it is.
+    g = parse_group("1/11(1,2,8)")
+    marks = chambers.mark_divisors(ghilb_fan(g), g)
+    assert len(marks) > 1
+    for v in marks:
+        dropped = {u: m for u, m in marks.items() if u != v}
+        monkeypatch.setattr(chambers, "mark_divisors", lambda gh, g, d=dropped: d)
+        with pytest.raises(InternalError):
+            ghilb_chamber(g)
 
 
 def test_interior_point_strict():

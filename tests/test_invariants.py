@@ -44,6 +44,7 @@ from crepant.chambers import (
     enumerate_chambers,
     functional,
     generate_inequalities,
+    ghilb_chamber,
     ghilb_state,
 )
 from crepant.groups import parse_group
@@ -186,11 +187,11 @@ def test_compute_chamber_never_regenerates_the_family(monkeypatch):
     s0 = ghilb_state(parse_group("1/11(1,2,8)"))
     for f in compute_chamber(s0, LPCounter()).facets:
         compute_chamber(cross_wall(s0, f), LPCounter())
+    ghilb_chamber(parse_group("1/11(1,2,8)"))
 
 
 def test_chamber_command_regenerates_the_family_once(monkeypatch, capsys):
-    # ghilb_chamber takes the trivial character's quot classes from the
-    # regenerated family, and the report its redundant functionals.
+    # Only the report reads the full family, for its redundant functionals.
     calls = []
     subset_classes = ClassTable.subset_classes
 
