@@ -1,10 +1,10 @@
-"""Walk through the basic objects: a group, its G-graphs, the G-Hilb fan.
+"""Walk through the basic objects: a group, the G-Hilb fan, its G-graphs.
 
 Run:  python3 demos/01_ghilb_basics.py
 """
 
 from crepant.fans import line_ratio
-from crepant.ggraphs import enumerate_ggraphs, ghilb_fan, socle
+from crepant.ggraphs import ghilb_fan, socle
 from crepant.groups import parse_group
 
 
@@ -26,16 +26,15 @@ print("\njunior simplex lattice points (scaled by r):")
 for p in g.junior_points:
     print(f"  {p.c}  [{p.kind}]")
 
-print("\nG-graphs (torus-invariant G-clusters):")
-for gg in enumerate_ggraphs(g):
-    marks = ", ".join(str(c) for c in sorted(socle(gg, g), key=lambda c: c.index))
-    print(f"  {{{', '.join(mono(m) for m in gg.gens)}}}   socle: {marks}")
-
 gh = ghilb_fan(g)
 fan = gh.fan
-print(f"\nG-Hilb fan: {len(fan.triangles)} basic triangles")
+print(f"\nG-Hilb fan: {len(fan.triangles)} basic triangles, each with its G-graph")
+print("(the torus-invariant G-cluster at the triangle's fixed point):")
 for t in fan.triangles:
+    gg = gh.by_triangle[t]
+    marks = ", ".join(str(c) for c in sorted(socle(gg, g), key=lambda c: c.index))
     print("  triangle", tuple(fan.vertices[i] for i in t))
+    print(f"    {{{', '.join(mono(m) for m in gg.gens)}}}   socle: {marks}")
 
 print("\ninterior edges (curves of the resolution):")
 # The fan's geometry solves each compact curve's normal degrees (a, b),

@@ -6,12 +6,21 @@ monomial basis of the structure sheaf of a torus-invariant G-cluster; the
 locus of the junior simplex on which a given G-graph's monomials minimise
 their character spaces is a polyhedral cone, and the three-dimensional
 cones are exactly the basic triangles of the fan of the G-Hilbert scheme.
+
+At a point x inside a triangle of that fan, the triangle's G-graph holds,
+per character, the monomial m minimising <m, x> (Nakamura, Hilbert schemes
+of abelian group orbits), which a Dijkstra search from 1 finds; its cone
+gives the triangle.  The fan is walked from the point (r, r, r), stepping
+just across each interior edge to reach the neighbouring triangle, so
+building it costs one search per triangle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from heapq import heappop, heappush
+from itertools import combinations
 
 from .errors import InternalError
 from .fans import Triangulation
@@ -30,7 +39,7 @@ class GGraph:
     gens: tuple[Exponent, ...]  # indexed like group.characters
 
 
-def _validate_ggraph(g: GroupSpec, members: dict[Exponent, int]) -> None:
+def _validate_ggraph(g: GroupSpec, members: set[Exponent]) -> None:
     if len(members) != g.r:
         raise InternalError("G-graph does not have r monomials")
     for m in members:
@@ -41,57 +50,45 @@ def _validate_ggraph(g: GroupSpec, members: dict[Exponent, int]) -> None:
                     raise InternalError(f"G-graph not division-closed at {m}")
 
 
-def _freeze(g: GroupSpec, members) -> GGraph:
-    gens: list[Exponent | None] = [None] * g.r
-    for m in members:
-        gens[g.char_index[g.weight(m)]] = m
-    if any(x is None for x in gens):
-        raise InternalError("G-graph misses a character")
-    return GGraph(tuple(gens))
+@cache
+def _coord_steps(g: GroupSpec) -> tuple[tuple[int, int, int], ...]:
+    """Per character index j, the indices of its products with the
+    weights of x, y and z: the character of m times x_i is row j, entry i,
+    when m has character j."""
+    return tuple(
+        tuple(g.char_index[g.char_add(rho, w)] for w in g.coord_weights)
+        for rho in g.characters
+    )
 
 
-def enumerate_ggraphs(g: GroupSpec) -> list[GGraph]:
-    """All G-graphs, by breadth-first growth of division-closed sets.
+def least_monomials(g: GroupSpec, x) -> GGraph:
+    """Per character, the monomial m least under the key
+    (<m, x>, <m, y0>, m), with y0 = (1, r+1, (r+1)^2), for x non-negative.
 
-    A monomial may join a partial set when its immediate divisors are
-    already members and its character is still free.  States are memoised
-    on the member set, so each division-closed set is expanded once.
-    The group's order is at most groups.MAX_GROUP_ORDER (see GroupSpec).
+    The key orders N^3 totally and is kept by multiplication, so every
+    divisor of a least monomial is least in its own character.  A
+    Dijkstra search from 1, stepping along x, y and z, therefore expands
+    only the first monomial it pops in each character and stops once
+    every character has one.  The set is a G-graph; for x inside a
+    triangle of the G-Hilb fan it is that triangle's G-graph (Nakamura).
     """
-    root = frozenset({(0, 0, 0)})
-    seen = {root}
-    frontier = [root]
-    complete: list[GGraph] = []
-    while frontier:
-        nxt = []
-        for state in frontier:
-            used = {g.weight(m) for m in state}
-            if len(state) == g.r:
-                complete.append(_freeze(g, state))
-                continue
-            candidates = set()
-            for m in state:
-                for u in _UNIT:
-                    cand = (m[0] + u[0], m[1] + u[1], m[2] + u[2])
-                    if cand in state or g.weight(cand) in used:
-                        continue
-                    if all(
-                        cand[i] == 0
-                        or tuple(cand[k] - _UNIT[i][k] for k in range(3)) in state
-                        for i in range(3)
-                    ):
-                        candidates.add(cand)
-            for cand in candidates:
-                new = state | {cand}
-                if new not in seen:
-                    seen.add(new)
-                    nxt.append(new)
-        frontier = nxt
-    for gg in complete:
-        _validate_ggraph(g, {m: 1 for m in gg.gens})
-    complete.sort(key=lambda gg: gg.gens)
-    return complete
-
+    r = g.r
+    y0 = (1, r + 1, (r + 1) ** 2)
+    steps = _coord_steps(g)
+    gens: list[Exponent | None] = [None] * r
+    heap = [(0, 0, (0, 0, 0), g.char_index[g.trivial])]
+    left = r
+    while left:
+        kx, ky, m, j = heappop(heap)
+        if gens[j] is not None:
+            continue
+        gens[j] = m
+        left -= 1
+        for u, xi, yi, k in zip(_UNIT, x, y0, steps[j]):
+            if gens[k] is None:
+                n = (m[0] + u[0], m[1] + u[1], m[2] + u[2])
+                heappush(heap, (kx + xi, ky + yi, n, k))
+    return GGraph(tuple(gens))
 
 def cone_of(gamma: GGraph, g: GroupSpec) -> tuple[Exponent, ...]:
     """Inequalities cutting out the locus where the G-graph minimises.
@@ -104,13 +101,11 @@ def cone_of(gamma: GGraph, g: GroupSpec) -> tuple[Exponent, ...]:
     this one-step system equivalent to full minimality.
     """
     ineqs = set()
-    for idx, rho in enumerate(g.characters):
-        m = gamma.gens[idx]
-        for i, u in enumerate(_UNIT):
-            target = g.char_add(rho, g.coord_weights[i])
-            q = tuple(
-                m[k] + u[k] - gamma.gens[g.char_index[target]][k] for k in range(3)
-            )
+    gens = gamma.gens
+    for m, row in zip(gens, _coord_steps(g)):
+        for u, k in zip(_UNIT, row):
+            t = gens[k]
+            q = (m[0] + u[0] - t[0], m[1] + u[1] - t[1], m[2] + u[2] - t[2])
             if q != (0, 0, 0):
                 ineqs.add(q)
     return tuple(sorted(ineqs))
@@ -147,38 +142,35 @@ class GHilbFan:
 
 @cache
 def ghilb_fan(g: GroupSpec) -> GHilbFan:
-    """Assemble the fan of the G-Hilbert scheme from maximal G-graphs.
+    """Assemble the fan of the G-Hilbert scheme by walking its triangles.
 
-    A G-graph is kept when its cone meets the junior simplex in a basic
-    triangle; the triangles must tile the simplex (validated), and there
-    are exactly r of them.  Built once per group: groups are interned and
+    The walk starts at the point (r, r, r).  At each point it takes the
+    least monomials (least_monomials), and their cone must meet the junior
+    simplex in a basic triangle.  From a triangle with an interior edge
+    (a, b) opposite c whose far side is not yet known, it steps to
+    K(a+b) + (a+b-2c), K = 8r, a point just across that edge and inside
+    the neighbour, which must contain a and b.  Each edge is crossed at
+    most once, so the walk solves exactly one point per triangle.  There
+    must be exactly r triangles, one G-graph each, and Triangulation
+    validates the tiling.  Built once per group: groups are interned and
     hash by identity, so the result is kept for the group object.
     """
     r = g.r
-    index = {p.c: i for i, p in enumerate(g.junior_points)}
-    by_triangle = {}
-    for gamma in enumerate_ggraphs(g):
+    verts = [p.c for p in g.junior_points]
+    index = {c: i for i, c in enumerate(verts)}
+    found = {}
+    walk = []  # the triangles in the order found
+    sides: dict[tuple[int, int], int] = {}  # edge -> found triangles on it
+
+    def visit(x) -> tuple[int, ...]:
+        gamma = least_monomials(g, x)
+        _validate_ggraph(g, set(gamma.gens))
         pts = cone_candidate_points(gamma, g)
-        if len(pts) < 3:
-            continue
-        if len(pts) > 3:
-            # A 3-dimensional cone containing more than three junior points
-            # cannot be a basic triangle; lower-dimensional cones may meet
-            # many collinear points.
-            if any(
-                det3(a.c, b.c, c.c) != 0
-                for a in pts
-                for b in pts
-                for c in pts
-                if a.c < b.c < c.c
-            ):
-                raise InternalError(
-                    f"G-graph cone meets {len(pts)} junior points non-collinearly"
-                )
-            continue
+        if len(pts) != 3:
+            raise InternalError(
+                f"G-graph cone at {x} meets {len(pts)} junior points, not a triangle"
+            )
         d = abs(det3(pts[0].c, pts[1].c, pts[2].c))
-        if d == 0:
-            continue
         if d != r * r:
             raise InternalError(
                 f"G-graph cone spans a non-basic triangle (det {d}, r^2 {r * r})"
@@ -186,13 +178,29 @@ def ghilb_fan(g: GroupSpec) -> GHilbFan:
         # The points come in junior-point order, sorted by coordinates, so
         # their indices form a sorted triple.
         tri = tuple(index[p.c] for p in pts)
-        if tri in by_triangle:
+        if tri in found:
             raise InternalError(
                 f"two G-graphs share the maximal cone {tuple(p.c for p in pts)}"
             )
-        by_triangle[tri] = gamma
-    if len(by_triangle) != r:
-        raise InternalError(
-            f"found {len(by_triangle)} maximal G-graph cones, expected {r}"
-        )
-    return GHilbFan(Triangulation(g, by_triangle), by_triangle)
+        found[tri] = gamma
+        walk.append(tri)
+        for e in combinations(tri, 2):
+            sides[e] = sides.get(e, 0) + 1
+        return tri
+
+    visit((r, r, r))
+    for i, j, k in walk:
+        for e, opp in (((j, k), i), ((i, k), j), ((i, j), k)):
+            a, b, c = verts[e[0]], verts[e[1]], verts[opp]
+            if sides[e] == 2 or any(a[n] == b[n] == 0 for n in range(3)):
+                continue
+            # With d the neighbour's third vertex, c = -d - p*a - q*b for
+            # the edge's normal degrees p + q = -2, so x is a positive sum of
+            # a, b and d while K + 1 + 2p and K + 1 + 2q are positive.
+            x = tuple((8 * r + 1) * (a[n] + b[n]) - 2 * c[n] for n in range(3))
+            if not set(e) <= set(visit(x)):
+                raise InternalError(f"the step across edge {a} -- {b} left its neighbour")
+    if len(found) != r:
+        raise InternalError(f"found {len(found)} maximal G-graph cones, expected {r}")
+    fan = Triangulation(g, found)
+    return GHilbFan(fan, {t: found[t] for t in fan.triangles})

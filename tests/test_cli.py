@@ -28,15 +28,18 @@ def run_cli(*args):
 
 
 def test_ghilb_command_counts():
-    p = run_cli("ghilb", "1/11(1,2,8)")
-    assert p.returncode == 0
-    rep = json.loads(p.stdout)
-    assert len(rep["fan"]["triangles"]) == 11
-    assert len(rep["markings"]["divisors"]) == 5
+    # Enumerating every G-graph of 1/64(1,2,61) took 47 s and 766 MB on a
+    # 2-vCPU host; walking the fan's 64 triangles takes well under a second.
+    for spec, triangles, divisors in [("1/11(1,2,8)", 11, 5), ("1/64(1,2,61)", 64, 31)]:
+        p = run_cli("ghilb", spec)
+        assert p.returncode == 0
+        rep = json.loads(p.stdout)
+        assert len(rep["fan"]["triangles"]) == triangles
+        assert len(rep["markings"]["divisors"]) == divisors
 
 
 def test_group_order_above_limit_is_a_cap():
-    # checked before any G-graph is enumerated; the group itself is small
+    # checked before the G-Hilb fan is built; the group itself is small
     from crepant.groups import MAX_GROUP_ORDER
 
     r = MAX_GROUP_ORDER + 1
@@ -69,6 +72,14 @@ def test_too_many_compact_divisors_is_a_cap(monkeypatch, capsys, request):
     assert p.returncode == 0
     assert p.stderr == ""
     assert json.loads(p.stdout)["chamber"]["facets"]
+    # The 18 compact divisors of 1/37(1,10,26) are densely connected; the
+    # cap is met as soon as the sets are grown, right after the G-Hilb fan.
+    p = run_cli("chamber", "1/37(1,10,26)")
+    assert p.returncode == 2
+    assert p.stderr == (
+        "cap exceeded: the connected sets of 18 compact divisors exceed the limit of 3000\n"
+    )
+    assert p.stdout == ""
     # Under a cap below the 26 connected sets of 1/11(1,2,8), growing the
     # sets stops at the cap.  Fresh fan objects, hence fresh geometry; the
     # G-Hilb memo is dropped before and after.

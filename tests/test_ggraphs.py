@@ -3,9 +3,12 @@ from itertools import product
 
 import pytest
 
-from crepant.ggraphs import cone_of, enumerate_ggraphs, ghilb_fan, socle
+from crepant import ggraphs
+from crepant.errors import UserError
+from crepant.ggraphs import cone_of, ghilb_fan, least_monomials, socle
 from crepant.groups import Character, parse_group
 from crepant.intlin import det3, dot
+from ggraph_reference import enumerate_ggraphs, reference_fan
 
 GROUPS = ["1/2(1,0,1)", "1/3(1,1,1)", "1/6(1,2,3)", "1/11(1,2,8)", "1/6(1,1,4)+1/2(1,0,1)"]
 
@@ -192,3 +195,62 @@ def test_line_ratio_pattern_on_ghilb():
             pure2 = sum(1 for x in m2 if x) == 1
             assert pure1 or pure2
             assert g.weight(m1) == g.weight(m2) == rho
+
+
+def _cyclic_groups(max_order):
+    """Every cyclic 1/r(a,b,c) with r <= max_order and a <= b <= c < r that
+    parse_group accepts, one per weight multiset."""
+    for r in range(1, max_order + 1):
+        for a in range(r):
+            for b in range(a, r):
+                c = (-a - b) % r
+                if c < b:
+                    continue
+                try:
+                    yield parse_group(f"1/{r}({a},{b},{c})")
+                except UserError:  # the weights do not act faithfully
+                    continue
+
+
+def test_walked_fan_equals_the_enumerated_fan():
+    specs = ["1/6(1,1,4)+1/2(1,0,1)", "1/2(1,1,0)+1/2(0,1,1)", "1/25(1,3,21)"]
+    groups = list(_cyclic_groups(16)) + [parse_group(s) for s in specs]
+    assert len(groups) == 248
+    for g in groups:
+        ref = reference_fan(g)
+        gh = ghilb_fan(g)
+        assert gh.fan.key == tuple(sorted(ref)), g
+        assert gh.by_triangle == ref, g
+
+
+@pytest.mark.parametrize("spec", ["1/3(1,1,1)", "1/6(1,2,3)", "1/6(1,1,4)+1/2(1,0,1)"])
+def test_least_monomials_at_a_triangle_point_are_its_ggraph(spec):
+    # least_monomials needs no generic point: at a vertex it breaks ties
+    # into the G-graph of some triangle at that vertex.
+    g = parse_group(spec)
+    gh = ghilb_fan(g)
+    for t in gh.fan.triangles:
+        bary = tuple(sum(gh.fan.vertices[i][k] for i in t) for k in range(3))
+        assert least_monomials(g, bary) == gh.by_triangle[t]
+        for i in t:
+            gamma = least_monomials(g, gh.fan.vertices[i])
+            assert any(i in u and gh.by_triangle[u] == gamma for u in gh.fan.triangles)
+
+
+@pytest.mark.parametrize("spec", ["1/25(1,3,21)", "1/37(1,10,26)", "1/64(1,2,61)"])
+def test_walk_solves_one_point_per_triangle(spec, monkeypatch, request):
+    # Each interior edge is crossed at most once, and only towards an
+    # unknown triangle, so the walk solves exactly r points.
+    g = parse_group(spec)
+    calls = []
+
+    def counted(g, x):
+        calls.append(x)
+        return least_monomials(g, x)
+
+    monkeypatch.setattr(ggraphs, "least_monomials", counted)
+    ghilb_fan.cache_clear()
+    request.addfinalizer(ghilb_fan.cache_clear)
+    gh = ghilb_fan(g)
+    assert len(calls) <= 1 + len(gh.fan.interior_edges)
+    assert len(calls) == g.r
